@@ -279,14 +279,45 @@ let check_guided_diff ~step_budget ~seed:_ nl =
     faults;
   List.rev !fs
 
-let dispatch ~canary ~step_budget ~seed nl = function
-  | "fsim-diff" -> check_fsim_diff ~seed nl
-  | "atpg-diff" -> check_atpg_diff ~canary ~step_budget ~seed nl
-  | "par-diff" -> check_par_diff ~step_budget ~seed nl
-  | "replay-confirm" -> check_replay_confirm ~step_budget ~seed nl
-  | "chaos-conservation" -> check_chaos_conservation ~step_budget ~seed nl
-  | "guided-diff" -> check_guided_diff ~step_budget ~seed nl
-  | name -> invalid_arg ("Hft_fuzz.Oracle: unknown check " ^ name)
+(* Without chaos nothing should degrade: an fsim-site fallback
+   (drop pass skipped, final fsim retried or emptied, replay skipped)
+   means a fault-simulation kernel raised and the supervisor absorbed
+   it — silently changing which classes were dropped, which no
+   differential above compares.  Every such journal event of [name]'s
+   run becomes a finding.  Journal events are recorded only while
+   observability is enabled, as the campaign runs the oracles. *)
+let report_fsim_degradations name run =
+  let tap = !Hft_obs.Journal.on_record in
+  let actions = ref [] in
+  Hft_obs.Journal.on_record :=
+    (fun e ->
+      tap e;
+      match e.Hft_obs.Journal.e_event with
+      | Hft_obs.Journal.Degraded { site = "fsim"; action } ->
+        actions := action :: !actions
+      | _ -> ());
+  let fs =
+    Fun.protect ~finally:(fun () -> Hft_obs.Journal.on_record := tap) run
+  in
+  fs
+  @ List.map
+      (fun action ->
+        { f_check = name; f_detail = "fsim degraded without chaos: " ^ action })
+      (List.sort_uniq compare !actions)
+
+let dispatch ~canary ~step_budget ~seed nl name =
+  let run () =
+    match name with
+    | "fsim-diff" -> check_fsim_diff ~seed nl
+    | "atpg-diff" -> check_atpg_diff ~canary ~step_budget ~seed nl
+    | "par-diff" -> check_par_diff ~step_budget ~seed nl
+    | "replay-confirm" -> check_replay_confirm ~step_budget ~seed nl
+    | "chaos-conservation" -> check_chaos_conservation ~step_budget ~seed nl
+    | "guided-diff" -> check_guided_diff ~step_budget ~seed nl
+    | name -> invalid_arg ("Hft_fuzz.Oracle: unknown check " ^ name)
+  in
+  if name = "chaos-conservation" then run ()
+  else report_fsim_degradations name run
 
 let run_check ?(canary = false) ?(step_budget = default_step_budget) ~name
     ~seed nl =

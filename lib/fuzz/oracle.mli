@@ -18,6 +18,12 @@
     - [guided-diff] — a statically-guided PODEM verdict may only
       improve on the unguided one, and guided tests must replay.
 
+    Every check except [chaos-conservation] also reports each
+    fsim-site degradation its run journals ([Degraded {site = "fsim"}]:
+    [drop-pass-skipped], [final-fsim-*], [seq-replay-skipped]) as a
+    finding: without chaos, one means a fault-simulation kernel raised
+    and the supervisor hid it.
+
     Checks are deterministic given (netlist, [seed], [canary]):
     derived RNG/chaos seeds are fixed functions of [seed] and engine
     deadlines are step budgets, never wall clocks.  Each check runs

@@ -291,44 +291,32 @@ let comb_scan ?(strategy = Cone) nl ~scanned ~patterns faults =
     result_of_flags faults flags n_patterns
   end
 
-let detect_groups ?on_group_events ?(strategy = Cone) nl ~assignment ~observe
-    groups =
-  let t0 = Hft_obs.Clock.now () in
-  let load st =
-    List.iter (fun p -> Bitvec.fill (Sim.pvalue st p) false) (Netlist.pis nl);
-    zero_dffs nl st;
-    List.iter
-      (fun (v, b) -> Bitvec.set (Sim.pvalue st v) 0 b)
-      assignment
-  in
-  let flags, events =
-    run_groups ?on_group_events ~strategy nl ~n_patterns:1 ~load ~observe
-      groups
-  in
-  flush ~faults:(List.length groups) ~detected:(count_true flags) ~patterns:1
-    ~events ~seconds:(Hft_obs.Clock.now () -. t0);
-  flags
+(* ------------------------------------------------------------------ *)
+(* Single-pattern checks (drop pass, replay, salvage): one three-valued *)
+(* good machine per call, then per group an event-driven faulty walk.   *)
 
-(* Three-valued (X-sound) variant of the drop check: sources without an
-   assignment stay at X, and detection requires a defined, differing
-   good/faulty pair at an observe node — exactly [Podem.check]'s
-   criterion, so a positive answer is valid for {e any} value of the
-   unassigned sources (unknown initial state included).  The [Cone]
-   strategy evaluates only each group's fanout cone copy-on-write over
-   the good three-valued state. *)
-let detect_groups_tri ?(on_group_events = fun _ _ -> ()) ?(strategy = Cone) nl
-    ~assignment ~observe groups =
+(* [check_groups] evaluates the good machine from the sources [load]
+   writes, then decides each group.
+
+   Naive: a full faulty three-valued pass per group (the oracle).
+
+   Cone: event-driven over a working copy of the good state.  The
+   group's roots enter a topo-ordered heap; a popped node is evaluated
+   with the group's faults forced, and only a value that differs from
+   the good one pushes the node's combinational (non-[Dff]) fanouts.  A
+   node never re-evaluated holds its good value — what a full pass
+   computes for it — so the flags match [Naive] bit for bit.  The walk
+   stops at the first observe node with a defined, differing
+   good/faulty pair, and the nodes it evaluated are restored before the
+   next group.  [events] counts the nodes actually evaluated. *)
+let check_groups ~on_group_events ~strategy nl ~load ~observe groups =
   let t0 = Hft_obs.Clock.now () in
   let n = Netlist.n_nodes nl in
-  let load st =
-    List.iter (fun (v, b) -> st.(v) <- (if b then 1 else 0)) assignment
-  in
   let good = Sim.tcreate nl in
   load good;
   Sim.teval nl good;
   let events = ref n in
-  let n_groups = List.length groups in
-  let detected = Array.make n_groups false in
+  let detected = Array.make (List.length groups) false in
   let differs g f = g < 2 && f < 2 && g <> f in
   (match strategy with
    | Naive ->
@@ -345,65 +333,62 @@ let detect_groups_tri ?(on_group_events = fun _ _ -> ()) ?(strategy = Cone) nl
    | Cone ->
      let is_obs = Array.make n false in
      List.iter (fun o -> is_obs.(o) <- true) observe;
-     (* Copy-on-write faulty values: [-1] means "same as good". *)
-     let fval = Array.make n (-1) in
+     let kinds = Netlist.raw_kinds nl in
+     let fv = Array.copy good in
+     let heap = Topo_heap.create nl in
+     let rec push_fanouts = function
+       | [] -> ()
+       | w :: tl ->
+         if Array.unsafe_get kinds w <> Netlist.Dff then Topo_heap.push heap w;
+         push_fanouts tl
+     in
+     let touched = Array.make n 0 in
      List.iteri
        (fun gi group ->
-         let stem_of v =
-           List.fold_left
-             (fun acc f ->
-               if f.Fault.pin = None && f.Fault.node = v then Some f else acc)
-             None group
-         and pin_of v p =
-           List.find_opt
-             (fun f -> f.Fault.node = v && f.Fault.pin = Some p)
-             group
-         in
-         let read src consumer pin =
-           match pin_of consumer pin with
-           | Some f -> if f.Fault.stuck then 1 else 0
-           | None -> if fval.(src) >= 0 then fval.(src) else good.(src)
-         in
-         let cone = group_cone nl group in
-         if !Hft_obs.Config.enabled then
-           Hft_obs.Registry.record "hft.fsim.cone_nodes"
-             (float_of_int (Array.length cone));
-         on_group_events gi (Array.length cone);
-         let hit = ref false in
-         Array.iter
-           (fun v ->
-             incr events;
-             (match stem_of v with
-              | Some f -> fval.(v) <- (if f.Fault.stuck then 1 else 0)
-              | None ->
-                (match Netlist.kind nl v with
-                 | Netlist.Pi | Netlist.Dff | Netlist.Const0 | Netlist.Const1
-                   -> ()
-                 | Netlist.Po | Netlist.Buf | Netlist.Not ->
-                   fval.(v) <-
-                     Netlist.eval_tri (Netlist.kind nl v)
-                       [| read (Netlist.fanin nl v).(0) v 0 |]
-                 | Netlist.And | Netlist.Or | Netlist.Nand | Netlist.Nor
-                 | Netlist.Xor | Netlist.Xnor ->
-                   let fi = Netlist.fanin nl v in
-                   fval.(v) <-
-                     Netlist.eval_tri (Netlist.kind nl v)
-                       [| read fi.(0) v 0; read fi.(1) v 1 |]
-                 | Netlist.Mux2 ->
-                   let fi = Netlist.fanin nl v in
-                   fval.(v) <-
-                     Netlist.eval_tri Netlist.Mux2
-                       [| read fi.(0) v 0; read fi.(1) v 1; read fi.(2) v 2 |]));
-             if is_obs.(v) && fval.(v) >= 0 && differs good.(v) fval.(v) then
-               hit := true)
-           cone;
-         detected.(gi) <- !hit;
-         Array.iter (fun v -> fval.(v) <- -1) cone)
+         let eval = Sim.teval_fn ~faults:group nl in
+         Topo_heap.clear heap;
+         List.iter (Topo_heap.push heap) (group_roots nl group);
+         let n_touched = ref 0 and hit = ref false in
+         while (not !hit) && not (Topo_heap.is_empty heap) do
+           let v = Topo_heap.pop heap in
+           eval fv v;
+           touched.(!n_touched) <- v;
+           incr n_touched;
+           let g = good.(v) and f = fv.(v) in
+           if f <> g then
+             if is_obs.(v) && differs g f then hit := true
+             else push_fanouts (Netlist.fanout nl v)
+         done;
+         for i = 0 to !n_touched - 1 do
+           let v = touched.(i) in
+           fv.(v) <- good.(v)
+         done;
+         events := !events + !n_touched;
+         on_group_events gi !n_touched;
+         detected.(gi) <- !hit)
        groups);
-  flush ~faults:n_groups ~detected:(count_true detected) ~patterns:1
-    ~events:!events
+  flush ~faults:(Array.length detected) ~detected:(count_true detected)
+    ~patterns:1 ~events:!events
     ~seconds:(Hft_obs.Clock.now () -. t0);
   detected
+
+let assign st assignment =
+  List.iter (fun (v, b) -> st.(v) <- (if b then 1 else 0)) assignment
+
+let detect_groups ?(on_group_events = fun _ _ -> ()) ?(strategy = Cone) nl
+    ~assignment ~observe groups =
+  let load st =
+    List.iter (fun v -> st.(v) <- 0) (Netlist.pis nl);
+    List.iter (fun v -> st.(v) <- 0) (Netlist.dffs nl);
+    assign st assignment
+  in
+  check_groups ~on_group_events ~strategy nl ~load ~observe groups
+
+let detect_groups_tri ?(on_group_events = fun _ _ -> ()) ?(strategy = Cone) nl
+    ~assignment ~observe groups =
+  check_groups ~on_group_events ~strategy nl
+    ~load:(fun st -> assign st assignment)
+    ~observe groups
 
 let coverage_curve nl ~checkpoints ~next_pattern faults =
   let checkpoints = List.sort compare checkpoints in

@@ -10,6 +10,12 @@
     keep their good values, so both strategies report bit-identical
     detections; the event count ([hft.fsim.events]) drops from
     [n_nodes * (n_faults + 1)] to [n_nodes + sum of cone sizes].
+    Single-pattern ({!detect_groups}, {!detect_groups_tri}): one
+    three-valued good pass, then per group an event-driven check under
+    [Cone] — only nodes whose fanins changed are re-evaluated, in
+    topological order ({!Topo_heap}), stopping at the first detecting
+    observe node; [Naive] re-evaluates the whole netlist per group.
+    Events count the nodes actually evaluated.
     Sequential: cycle-accurate single-fault simulation over a stimulus
     sequence. *)
 
@@ -57,7 +63,8 @@ val comb_scan :
     Returns a per-group flag: some node in [observe] differs from the
     good machine.  [on_group_events] (default: ignore) is called once
     per group with [(group index, simulation events charged to it)] —
-    the cone size under [Cone], the full node count under [Naive] —
+    the nodes the event-driven check evaluated under [Cone], the full
+    node count under [Naive] —
     letting callers attribute fsim cost to individual fault classes
     (the {!Hft_obs.Ledger} hook). *)
 val detect_groups :

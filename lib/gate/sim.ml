@@ -157,8 +157,8 @@ type tstate = int array
 let tcreate nl = Array.make (Netlist.n_nodes nl) 2
 
 (* Single-node 3-valued evaluation with fault forcing — non-allocating;
-   shared by the full pass ([teval]), the cone-limited re-evaluation
-   ([teval_nodes]) and the event-driven walk ([teval_dirty]).  The
+   shared by the full pass ([teval]) and the event-driven callers of
+   [teval_fn] (PODEM implication, the single-pattern fault check).  The
    faultless case (every good-machine pass) skips the probes
    entirely. *)
 let teval_read tab (st : tstate) (fi : int array) pin v =
@@ -240,78 +240,12 @@ let teval ?(faults = []) nl st =
     List.iter (fun v -> teval_node_nofault kinds fanins st v) order
   | _ -> List.iter (fun v -> teval_node_faulty tab kinds fanins st v) order
 
-let teval_nodes ?(faults = []) nl st nodes =
-  let tab = fault_tab faults in
-  let kinds = Netlist.raw_kinds nl and fanins = Netlist.raw_fanins nl in
-  match tab with
-  | Ft_list [] ->
-    Array.iter (fun v -> teval_node_nofault kinds fanins st v) nodes
-  | _ -> Array.iter (fun v -> teval_node_faulty tab kinds fanins st v) nodes
-
 let teval_fn ?(faults = []) nl =
   let tab = fault_tab faults in
   let kinds = Netlist.raw_kinds nl and fanins = Netlist.raw_fanins nl in
   match tab with
   | Ft_list [] -> fun st v -> teval_node_nofault kinds fanins st v
   | _ -> fun st v -> teval_node_faulty tab kinds fanins st v
-
-let teval_dirty ?(faults = []) ?acc nl st ~cones ~mark ~stamp =
-  let tab = fault_tab faults in
-  let kinds = Netlist.raw_kinds nl and fanins = Netlist.raw_fanins nl in
-  let faultless = match tab with Ft_list [] -> true | _ -> false in
-  let record v =
-    match acc with Some r -> r := v :: !r | None -> ()
-  in
-  List.iter
-    (fun cone ->
-      let len = Array.length cone in
-      for idx = 0 to len - 1 do
-        let v = Array.unsafe_get cone idx in
-        match Array.unsafe_get kinds v with
-        | Netlist.Pi | Netlist.Dff ->
-          (* Sources appear only as cone roots; the caller already
-             wrote their values — just honour stem forcing, as the
-             full pass does. *)
-          if not faultless then (
-            match stem_fault tab v with
-            | Some f ->
-              let nv = if f.Fault.stuck then 1 else 0 in
-              if st.(v) <> nv then begin
-                st.(v) <- nv;
-                Array.unsafe_set mark v stamp;
-                record v
-              end
-            | None -> ())
-        | Netlist.Const0 | Netlist.Const1 ->
-          if Array.unsafe_get mark v = stamp then begin
-            let old = Array.unsafe_get st v in
-            (if faultless then teval_node_nofault kinds fanins st v
-             else teval_node_faulty tab kinds fanins st v);
-            if Array.unsafe_get st v <> old then record v
-          end
-        | _ ->
-          let fi = Array.unsafe_get fanins v in
-          let affected =
-            Array.unsafe_get mark v = stamp
-            ||
-            let nfi = Array.length fi in
-            Array.unsafe_get mark (Array.unsafe_get fi 0) = stamp
-            || (nfi >= 2
-                && Array.unsafe_get mark (Array.unsafe_get fi 1) = stamp)
-            || (nfi >= 3
-                && Array.unsafe_get mark (Array.unsafe_get fi 2) = stamp)
-          in
-          if affected then begin
-            let old = Array.unsafe_get st v in
-            (if faultless then teval_node_nofault kinds fanins st v
-             else teval_node_faulty tab kinds fanins st v);
-            if Array.unsafe_get st v <> old then begin
-              Array.unsafe_set mark v stamp;
-              record v
-            end
-          end
-      done)
-    cones
 
 let run_cycles ?(faults = []) ?init nl ~stimuli =
   (* The state's own bitvecs are written in place: no per-PI scratch

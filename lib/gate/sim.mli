@@ -36,34 +36,11 @@ val tcreate : Netlist.t -> tstate
     state; X-propagation; [faults] force 0/1 at their sites. *)
 val teval : ?faults:Fault.t list -> Netlist.t -> tstate -> unit
 
-(** [teval_nodes nl st nodes] re-evaluates exactly [nodes] (which must
-    be in topological order, e.g. a {!Netlist.fanout_cone}) over a state
-    whose other values are already consistent — the incremental
-    counterpart of {!teval} used after a source-value change. *)
-val teval_nodes : ?faults:Fault.t list -> Netlist.t -> tstate -> int array -> unit
-
 (** [teval_fn ?faults nl] pre-resolves the fault table and netlist
     arrays once, returning a single-node evaluator — for event-driven
     callers that re-evaluate individual nodes many times.  On a source
     node it only applies stem forcing (the caller owns source values). *)
 val teval_fn : ?faults:Fault.t list -> Netlist.t -> tstate -> int -> unit
-
-(** [teval_dirty nl st ~cones ~mark ~stamp] — event-driven incremental
-    re-evaluation.  Each cone must be in topological order (e.g. a
-    {!Netlist.fanout_cone} per changed source); before the call the
-    caller writes the new source values and sets [mark.(src) <- stamp].
-    A node is re-evaluated when it or one of its fanins carries the
-    current stamp, and a changed result stamps the node, so the
-    wavefront follows actual value changes instead of the whole cone.
-    Walking the cones one after another (without a union) is exact:
-    a node affected across cones re-appears in every later cone after
-    its changed fanins.  [mark] is an [n_nodes]-sized scratch array the
-    caller reuses across calls, bumping [stamp] each round.  When [acc]
-    is given, every node whose value actually changed is consed onto it
-    (possibly more than once). *)
-val teval_dirty :
-  ?faults:Fault.t list -> ?acc:int list ref -> Netlist.t -> tstate ->
-  cones:int array list -> mark:int array -> stamp:int -> unit
 
 (** {1 Convenience} *)
 

@@ -272,6 +272,35 @@ let test_oracle_clean_and_canary () =
   in
   check "fixed engine shows no disagreement" true (fs_fixed = [])
 
+(* A crashing fsim kernel must not pass silently: the supervisor turns
+   it into a skipped drop pass, which the non-chaos oracles report.
+   Chaos injections on every fsim call stand in for the crash. *)
+let test_oracle_reports_fsim_degradation () =
+  let nl = Netlist_gen.sequential ~seed:1000 ~n_pi:4 ~n_dff:3 ~n_gates:14 in
+  let fsim_chaos =
+    { Hft_robust.Chaos.seed = 1; prob = 1.0;
+      sites = [ Hft_robust.Chaos.Fsim ]; arm_after = 0 }
+  in
+  let fs, esc =
+    Hft_robust.Chaos.with_config fsim_chaos (fun () ->
+        Hft_obs.with_enabled true (fun () ->
+            Oracle.run_check ~name:"replay-confirm" ~seed:1000 nl))
+  in
+  check_int "a finding, not a crash" 0 esc;
+  check "drop-pass-skipped reported" true
+    (List.exists
+       (fun f ->
+         f.Oracle.f_check = "replay-confirm"
+         && f.Oracle.f_detail
+            = "fsim degraded without chaos: drop-pass-skipped")
+       fs);
+  (* The same circuit without injections is quiet. *)
+  let clean, _ =
+    Hft_obs.with_enabled true (fun () ->
+        Oracle.run_check ~name:"replay-confirm" ~seed:1000 nl)
+  in
+  check "no degradation without chaos" true (clean = [])
+
 (* ------------------------------------------------------------------ *)
 (* Campaign: determinism and kill-and-resume bit identity             *)
 (* ------------------------------------------------------------------ *)
@@ -398,7 +427,9 @@ let () =
         ] );
       ( "oracle",
         [ Alcotest.test_case "clean battery + canary" `Quick
-            test_oracle_clean_and_canary ] );
+            test_oracle_clean_and_canary;
+          Alcotest.test_case "fsim degradation is a finding" `Quick
+            test_oracle_reports_fsim_degradation ] );
       ( "campaign",
         [
           Alcotest.test_case "deterministic + canary corpus" `Quick
