@@ -24,6 +24,11 @@ type analyses = {
   a_scoap : Scoap.t;
   a_dom : Dominators.t;
   a_impl : Implications.t;
+  (* [provide]'s union-cone membership: [a_cone.(v) = a_stamp] marks
+     [v] for the current call.  Safe to mutate: entries are
+     domain-local. *)
+  a_cone : int array;
+  mutable a_stamp : int;
 }
 
 (* Engines cycle through one unrolled netlist per frame count, so a
@@ -55,7 +60,9 @@ let analyses_for nl ~observe =
     let a =
       { a_scoap = Scoap.analyze nl;
         a_dom = Dominators.compute nl ~observe;
-        a_impl = Implications.compute nl }
+        a_impl = Implications.compute nl;
+        a_cone = Array.make (Netlist.n_nodes nl) 0;
+        a_stamp = 0 }
     in
     let keep = List.filteri (fun i _ -> i < cache_cap - 1) cached in
     Domain.DLS.set cache ((nl, ver, observe, a) :: keep);
@@ -133,13 +140,26 @@ let analyze_site nl a ~in_ucone f =
 let provide nl ~observe ~faults =
   Hft_obs.Registry.incr "hft.analysis.provides";
   let a = analyses_for nl ~observe in
-  let ucone =
-    Netlist.fanout_cone_union nl (List.map (fun f -> f.Fault.node) faults)
-  in
+  (* Union of the fault sites' combinational fanout cones: a DFS into
+     the stamp array ([Dff] consumers end a path, as in
+     {!Netlist.fanout_cone}). *)
   let n = Netlist.n_nodes nl in
-  let in_cone = Array.make n false in
-  Array.iter (fun v -> in_cone.(v) <- true) ucone;
-  let in_ucone v = v >= 0 && v < n && in_cone.(v) in
+  a.a_stamp <- a.a_stamp + 1;
+  let stamp = a.a_stamp and cone = a.a_cone in
+  let rec visit v =
+    if cone.(v) <> stamp then begin
+      cone.(v) <- stamp;
+      List.iter
+        (fun w -> if Netlist.kind nl w <> Netlist.Dff then visit w)
+        (Netlist.fanout nl v)
+    end
+  in
+  List.iter
+    (fun f ->
+      let v = f.Fault.node in
+      if v >= 0 && v < n then visit v)
+    faults;
+  let in_ucone v = v >= 0 && v < n && cone.(v) = stamp in
   let sites = List.map (analyze_site nl a ~in_ucone) faults in
   let any_live_or_opaque =
     List.exists (function Dead -> false | _ -> true) sites

@@ -8,12 +8,19 @@ open Hft_gate
      with their contrapositives (e.g. for an And input [a]:
      [(a,0) -> (g,0)] and [(g,1) -> (a,1)]);
    - learned implications from per-literal ternary forward simulation:
-     assert one literal on top of the all-X baseline, evaluate its
-     combinational fanout cone, and every node that settles to a
-     concrete value is an implied literal.  Ternary evaluation is
+     assert one literal on top of the all-X baseline and propagate it
+     as an event-driven wavefront ({!Topo_heap}): a popped node is
+     evaluated, and only a value that differs from the baseline pushes
+     its combinational (non-[Dff]) fanouts.  Every node that settles to
+     a concrete value is an implied literal.  Ternary evaluation is
      monotone, so any total source assignment refining the partial one
      reproduces those values — the implication holds universally.  The
-     contrapositive of each learned edge is stored too.
+     contrapositive of each learned edge is stored too.  Nodes the
+     wavefront never reaches keep their baseline value, which is what
+     evaluating them would give, and the heap pops in topological
+     order, so the edges, and which ones the per-literal cap cuts off,
+     are those of an in-order pass over the literal's whole fanout
+     cone.  Only the touched nodes are restored afterwards.
 
    The closure is a plain BFS with stamp-array scratch (no per-call
    allocation beyond the result list).  Baseline-concrete nodes
@@ -76,40 +83,49 @@ let compute nl =
   if n <= learn_max_nodes then begin
     let scratch = Array.copy base in
     let eval = Sim.teval_fn nl scratch in
+    let kinds = Netlist.raw_kinds nl in
+    let heap = Topo_heap.create nl in
+    let touched = Array.make n 0 in
+    let push_fanouts v =
+      List.iter
+        (fun w -> if kinds.(w) <> Netlist.Dff then Topo_heap.push heap w)
+        (Netlist.fanout nl v)
+    in
     let v = ref 0 in
     while !v < n && !edges < total_cap do
       let src = !v in
-      if base.(src) = x then begin
-        let cone = Netlist.fanout_cone nl src in
-        let restore () =
-          Array.iter (fun w -> scratch.(w) <- base.(w)) cone
-        in
-        let b = ref 0 in
-        while !b <= 1 do
-          let lit = (2 * src) + !b in
-          scratch.(src) <- !b;
-          let learned = ref 0 in
-          Array.iter
-            (fun w ->
-              if w <> src then begin
-                eval w;
-                if
-                  scratch.(w) <> x && base.(w) = x
-                  && !learned < per_lit_cap && !edges < total_cap
-                then begin
-                  incr learned;
-                  add_edge lit ((2 * w) + scratch.(w));
-                  (* contrapositive *)
-                  add_edge
-                    ((2 * w) + (1 - scratch.(w)))
-                    ((2 * src) + (1 - !b))
-                end
-              end)
-            cone;
-          restore ();
-          incr b
-        done
-      end;
+      if base.(src) = x then
+        for b = 0 to 1 do
+          let lit = (2 * src) + b in
+          scratch.(src) <- b;
+          Topo_heap.clear heap;
+          push_fanouts src;
+          let n_touched = ref 0 and learned = ref 0 in
+          while
+            !learned < per_lit_cap && !edges < total_cap
+            && not (Topo_heap.is_empty heap)
+          do
+            let w = Topo_heap.pop heap in
+            eval w;
+            touched.(!n_touched) <- w;
+            incr n_touched;
+            let s = scratch.(w) in
+            if s <> base.(w) then begin
+              if s <> x && base.(w) = x then begin
+                incr learned;
+                add_edge lit ((2 * w) + s);
+                (* contrapositive *)
+                add_edge ((2 * w) + (1 - s)) ((2 * src) + (1 - b))
+              end;
+              push_fanouts w
+            end
+          done;
+          for i = 0 to !n_touched - 1 do
+            let w = touched.(i) in
+            scratch.(w) <- base.(w)
+          done;
+          scratch.(src) <- base.(src)
+        done;
       incr v
     done
   end;

@@ -4,12 +4,16 @@
     A literal is a [(node, value)] pair.  The graph holds direct
     implications read off gate semantics together with their
     contrapositives, plus learned implications discovered by ternary
-    forward simulation of each literal over its combinational fanout
-    cone from the all-X baseline — sound by ternary monotonicity: a
-    value that settles under a partial assignment persists under every
-    refinement.  Learning is capped per literal and in total, and
-    skipped entirely above a node-count threshold, so construction
-    stays near linear. *)
+    forward simulation of each literal from the all-X baseline — sound
+    by ternary monotonicity: a value that settles under a partial
+    assignment persists under every refinement.  Each literal's
+    simulation is an event-driven wavefront ({!Hft_gate.Topo_heap})
+    that visits only nodes whose value moves off the baseline, and
+    stops once the literal has learned its cap of edges; learning is
+    also capped in total and skipped entirely above a node-count
+    threshold.  Construction therefore costs one baseline pass plus the
+    sum of the capped wavefronts — not the sum of the literals' whole
+    fanout cones — and keeps no per-node cone. *)
 
 type t
 

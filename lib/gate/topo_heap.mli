@@ -2,8 +2,9 @@
     node ids ordered by {!Netlist.topo_pos}.  Popping in topological
     order evaluates a node only after every fanin that changed has
     settled, so each node is evaluated at most once per wavefront.
-    Shared by PODEM's implication and the single-pattern fault check
-    ({!Fsim.detect_groups}).  Non-allocating after {!create}. *)
+    Shared by PODEM's implication, the single-pattern fault check
+    ({!Fsim.detect_groups}) and static implication learning
+    ([Hft_analysis.Implications]).  Non-allocating after {!create}. *)
 
 type t
 

@@ -218,6 +218,147 @@ let test_impl_constant_contradiction () =
      | Implications.Consistent _ -> true
      | Implications.Contradiction -> false)
 
+(* Reference learner: a plain full-cone SOCRATES pass.  Every X-valued
+   source literal re-evaluates its whole memoized fanout cone in
+   topological order; the first [per_lit_cap] settled nodes become
+   edges.  Returns the per-literal successor lists and the edge count,
+   which [Implications]' event-driven learner must reproduce exactly. *)
+let reference_graph nl =
+  (* Copies of Implications' private learning budgets; they must match
+     for the graphs to be comparable. *)
+  let per_lit_cap = 32 and total_cap = 200_000 and learn_max_nodes = 20_000 in
+  let n = Netlist.n_nodes nl in
+  let succs = Array.make (2 * n) [] in
+  let edges = ref 0 in
+  let add_edge l1 l2 =
+    succs.(l1) <- l2 :: succs.(l1);
+    incr edges
+  in
+  let pair (a, va) (b, vb) =
+    add_edge ((2 * a) + va) ((2 * b) + vb);
+    add_edge ((2 * b) + (1 - vb)) ((2 * a) + (1 - va))
+  in
+  for g = 0 to n - 1 do
+    let fi = Netlist.fanin nl g in
+    match Netlist.kind nl g with
+    | Netlist.And -> Array.iter (fun a -> pair (a, 0) (g, 0)) fi
+    | Netlist.Or -> Array.iter (fun a -> pair (a, 1) (g, 1)) fi
+    | Netlist.Nand -> Array.iter (fun a -> pair (a, 0) (g, 1)) fi
+    | Netlist.Nor -> Array.iter (fun a -> pair (a, 1) (g, 0)) fi
+    | Netlist.Buf | Netlist.Po ->
+      pair (fi.(0), 0) (g, 0);
+      pair (fi.(0), 1) (g, 1)
+    | Netlist.Not ->
+      pair (fi.(0), 0) (g, 1);
+      pair (fi.(0), 1) (g, 0)
+    | Netlist.Xor | Netlist.Xnor | Netlist.Mux2 | Netlist.Pi | Netlist.Dff
+    | Netlist.Const0 | Netlist.Const1 -> ()
+  done;
+  let base = Sim.tcreate nl in
+  Sim.teval nl base;
+  if n <= learn_max_nodes then begin
+    let scratch = Array.copy base in
+    let eval = Sim.teval_fn nl scratch in
+    let v = ref 0 in
+    while !v < n && !edges < total_cap do
+      let src = !v in
+      if base.(src) = 2 then begin
+        let cone = Netlist.fanout_cone nl src in
+        for b = 0 to 1 do
+          let lit = (2 * src) + b in
+          scratch.(src) <- b;
+          let learned = ref 0 in
+          Array.iter
+            (fun w ->
+              if w <> src then begin
+                eval w;
+                if
+                  scratch.(w) <> 2 && base.(w) = 2
+                  && !learned < per_lit_cap && !edges < total_cap
+                then begin
+                  incr learned;
+                  add_edge lit ((2 * w) + scratch.(w));
+                  add_edge
+                    ((2 * w) + (1 - scratch.(w)))
+                    ((2 * src) + (1 - b))
+                end
+              end)
+            cone;
+          Array.iter (fun w -> scratch.(w) <- base.(w)) cone
+        done
+      end;
+      incr v
+    done
+  end;
+  (succs, !edges)
+
+let check_same_graph label nl =
+  let imp = Implications.compute nl in
+  let succs, edges = reference_graph nl in
+  check_int (label ^ ": n_edges") edges (Implications.n_edges imp);
+  for v = 0 to Netlist.n_nodes nl - 1 do
+    for b = 0 to 1 do
+      let want =
+        List.map (fun l -> (l / 2, l land 1)) succs.((2 * v) + b)
+      in
+      if Implications.implied imp (v, b) <> want then
+        Alcotest.failf "%s: successors of (%d,%d) differ from the reference"
+          label v b
+    done
+  done
+
+let test_impl_reference_random () =
+  List.iter
+    (fun seed ->
+      check_same_graph
+        (Printf.sprintf "seed %d" seed)
+        (Netlist_gen.sequential ~seed ~n_pi:4 ~n_dff:3 ~n_gates:12);
+      check_same_graph
+        (Printf.sprintf "seed %d, 120 gates" seed)
+        (Netlist_gen.sequential ~seed ~n_pi:6 ~n_dff:4 ~n_gates:120))
+    [ 11; 42; 1999; 7; 2024 ]
+
+let test_impl_reference_constants () =
+  (* Constant-driven cones: baseline-concrete nodes are never learned
+     targets, and a literal's wavefront must not leak through them. *)
+  let nl = Netlist.create () in
+  let a = Netlist.add nl Netlist.Pi [||] in
+  let b = Netlist.add nl Netlist.Pi [||] in
+  let c0 = Netlist.add nl Netlist.Const0 [||] in
+  let c1 = Netlist.add nl Netlist.Const1 [||] in
+  let k0 = Netlist.add nl Netlist.And [| a; c0 |] in
+  let k1 = Netlist.add nl Netlist.Or [| b; c1 |] in
+  let g1 = Netlist.add nl Netlist.Nand [| a; k1 |] in
+  let g2 = Netlist.add nl Netlist.Xor [| k0; b |] in
+  let g3 = Netlist.add nl Netlist.Mux2 [| c1; a; g2 |] in
+  let g4 = Netlist.add nl Netlist.Nor [| g1; k0 |] in
+  let d = Netlist.add nl Netlist.Dff [| g4 |] in
+  let g5 = Netlist.add nl Netlist.And [| d; g3 |] in
+  let _y1 = Netlist.add nl Netlist.Po [| g5 |] in
+  let _y2 = Netlist.add nl Netlist.Po [| g4 |] in
+  check_same_graph "constants" nl
+
+let test_impl_reference_star () =
+  (* One PI fans out to 48 buffers, half of them behind an inverter
+     chain added first, so node ids and topological positions disagree
+     and [a]'s literals settle far more than the per-literal cap: the
+     kept edges must be the first ones in topological order. *)
+  let nl = Netlist.create () in
+  let a = Netlist.add nl Netlist.Pi [||] in
+  let b = Netlist.add nl Netlist.Pi [||] in
+  let deep = ref a in
+  for _ = 1 to 24 do
+    deep := Netlist.add nl Netlist.Not [| !deep |]
+  done;
+  for i = 1 to 48 do
+    let src = if i mod 2 = 0 then !deep else a in
+    let g = Netlist.add nl Netlist.Or [| src; b |] in
+    ignore (Netlist.add nl Netlist.Po [| g |])
+  done;
+  check "star exceeds the cap" true
+    (Array.length (Netlist.fanout_cone nl a) > 2 * 32);
+  check_same_graph "star" nl
+
 (* ------------------------------------------------------------------ *)
 (* Guidance: static untestability and the guided/unguided contract    *)
 (* ------------------------------------------------------------------ *)
@@ -342,6 +483,12 @@ let () =
             test_impl_sound_random;
           Alcotest.test_case "constant contradiction" `Quick
             test_impl_constant_contradiction;
+          Alcotest.test_case "matches full-cone reference" `Quick
+            test_impl_reference_random;
+          Alcotest.test_case "reference: constant cones" `Quick
+            test_impl_reference_constants;
+          Alcotest.test_case "reference: capped star" `Quick
+            test_impl_reference_star;
         ] );
       ( "guidance",
         [
