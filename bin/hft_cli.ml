@@ -225,6 +225,75 @@ let flow_arg =
        & info [ "f"; "flow" ] ~docv:"FLOW"
            ~doc:"Synthesis flow: conventional, partial-scan or bist.")
 
+(* Domain count for every subcommand that runs one ATPG campaign. *)
+let jobs_arg =
+  let resolve j =
+    if j > 0 then Hft_par.clamp_jobs j else Hft_par.jobs_from_env ()
+  in
+  Term.(const resolve
+        $ Arg.(value & opt int 0
+               & info [ "j"; "jobs" ] ~docv:"N"
+                   ~absent:"$(b,HFT_JOBS), else 1"
+                   ~doc:"Shard the ATPG fault campaign over N OCaml domains \
+                         (clamped to 1-64).  Coverage, verdicts and ledger \
+                         waterfalls are bit-identical at any N."))
+
+(* Offline mode of report and profile: the lines of an exported tape
+   (--journal-out / --ledger-out JSONL); exit 2 when unreadable. *)
+let read_tape ~cmd file =
+  match open_in file with
+  | exception Sys_error msg ->
+    Printf.eprintf "hft %s: %s\n%!" cmd msg;
+    exit 2
+  | ic ->
+    let rec go acc =
+      match input_line ic with
+      | l -> go (l :: acc)
+      | exception End_of_file -> close_in ic; List.rev acc
+    in
+    go []
+
+(* The "most expensive fault classes" table report and profile print,
+   one recipe each for live ledger rows and for the (rep, resolution,
+   cost) rows an offline tape carries, so the two commands render
+   byte-identically by construction. *)
+let print_expensive_table ~header rows =
+  if rows <> [] then begin
+    Printf.printf "\nmost expensive fault classes (top %d):\n"
+      (List.length rows);
+    Hft_util.Pretty.print ~header rows
+  end
+
+let print_expensive (rows : Hft_obs.Ledger.row list) =
+  print_expensive_table
+    ~header:[ "class"; "fault"; "resolution"; "fsim ev"; "impl"; "btk"; "cost" ]
+    (List.map
+       (fun (row : Hft_obs.Ledger.row) ->
+         [ string_of_int row.Hft_obs.Ledger.lr_class;
+           row.Hft_obs.Ledger.lr_rep;
+           Hft_obs.Ledger.resolution_to_string row.Hft_obs.Ledger.lr_resolution;
+           string_of_int row.Hft_obs.Ledger.lr_fsim_events;
+           string_of_int row.Hft_obs.Ledger.lr_implications;
+           string_of_int row.Hft_obs.Ledger.lr_backtracks;
+           string_of_int (Hft_obs.Ledger.cost row) ])
+       rows)
+
+let print_offline_expensive rows =
+  print_expensive_table ~header:[ "fault"; "resolution"; "cost" ]
+    (List.map
+       (fun (rep, outcome, cost) -> [ rep; outcome; string_of_int cost ])
+       rows)
+
+let offline_expensive_json rows =
+  Hft_util.Json.List
+    (List.map
+       (fun (rep, outcome, cost) ->
+         Hft_util.Json.Obj
+           [ ("rep", Hft_util.Json.String rep);
+             ("resolution", Hft_util.Json.String outcome);
+             ("cost", Hft_util.Json.Int cost) ])
+       rows)
+
 let synth_cmd =
   let run bench flow width dot obs =
     with_obs ~cmd:"synth" obs @@ fun () ->
@@ -296,13 +365,6 @@ let atpg_cmd =
              ~doc:"Disable static-analysis ATPG guidance (restores the \
                    historical search bit for bit).")
   in
-  let jobs_arg =
-    Arg.(value & opt int 0
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Shard the ATPG fault campaign over N OCaml domains \
-                   (default: \\$(b,HFT_JOBS), else 1).  Coverage, verdicts \
-                   and ledger waterfalls are bit-identical at any N.")
-  in
   (* Campaign mode: one supervised, checkpointed partial-scan campaign
      (the resumable path the robustness tests and CI exercise). *)
   let run_campaign bench width sample checkpoint resume json guided jobs =
@@ -352,7 +414,6 @@ let atpg_cmd =
     end
   in
   let run bench width sample checkpoint resume json no_guided jobs obs =
-    let jobs = if jobs > 0 then jobs else Hft_par.jobs_from_env () in
     match checkpoint with
     | Some file ->
       with_obs ~cmd:"atpg" obs @@ fun () ->
@@ -847,20 +908,7 @@ let report_cmd =
   (* Offline mode: no engines run, the waterfall is rebuilt from the
      tape alone — so a forensics report survives the run that made it. *)
   let run_offline file top json =
-    let lines =
-      match open_in file with
-      | exception Sys_error msg ->
-        Printf.eprintf "hft report: %s\n%!" msg;
-        exit 2
-      | ic ->
-        let rec go acc =
-          match input_line ic with
-          | l -> go (l :: acc)
-          | exception End_of_file -> close_in ic; List.rev acc
-        in
-        go []
-    in
-    match Hft_obs.Progress.offline_of_lines lines with
+    match Hft_obs.Progress.offline_of_lines (read_tape ~cmd:"report" file) with
     | Error msg ->
       Printf.eprintf "hft report: %s: %s\n%!" file msg;
       exit 2
@@ -885,15 +933,7 @@ let report_cmd =
                    Hft_obs.Progress.offline_waterfall_json off);
                   ("tests", Hft_util.Json.Int
                               off.Hft_obs.Progress.off_tests);
-                  ("expensive",
-                   Hft_util.Json.List
-                     (List.map
-                        (fun (rep, outcome, cost) ->
-                          Hft_util.Json.Obj
-                            [ ("rep", Hft_util.Json.String rep);
-                              ("resolution", Hft_util.Json.String outcome);
-                              ("cost", Hft_util.Json.Int cost) ])
-                        expensive)) ]))
+                  ("expensive", offline_expensive_json expensive) ]))
       else begin
         Printf.printf "coverage waterfall (offline, %s tape %s):\n"
           off.Hft_obs.Progress.off_source file;
@@ -906,15 +946,7 @@ let report_cmd =
                  [ key; string_of_int classes; string_of_int faults ])
                off.Hft_obs.Progress.off_waterfall);
         Printf.printf "%d tests on tape\n" off.Hft_obs.Progress.off_tests;
-        if expensive <> [] then begin
-          Printf.printf "\nmost expensive fault classes (top %d):\n"
-            (List.length expensive);
-          Hft_util.Pretty.print ~header:[ "fault"; "resolution"; "cost" ]
-            (List.map
-               (fun (rep, outcome, cost) ->
-                 [ rep; outcome; string_of_int cost ])
-               expensive)
-        end
+        print_offline_expensive expensive
       end
   in
   let run bench flow width sample top json no_guided journal_in obs =
@@ -1004,25 +1036,7 @@ let report_cmd =
           (Hft_obs.Registry.count "hft.podem.static_untestable")
           (Hft_obs.Registry.count "hft.podem.guided_cuts")
           (Hft_obs.Registry.count "hft.podem.guided_decisions");
-      if expensive <> [] then begin
-        Printf.printf "\nmost expensive fault classes (top %d):\n"
-          (List.length expensive);
-        Hft_util.Pretty.print
-          ~header:
-            [ "class"; "fault"; "resolution"; "fsim ev"; "impl"; "btk";
-              "cost" ]
-          (List.map
-             (fun (row : Hft_obs.Ledger.row) ->
-               [ string_of_int row.Hft_obs.Ledger.lr_class;
-                 row.Hft_obs.Ledger.lr_rep;
-                 Hft_obs.Ledger.resolution_to_string
-                   row.Hft_obs.Ledger.lr_resolution;
-                 string_of_int row.Hft_obs.Ledger.lr_fsim_events;
-                 string_of_int row.Hft_obs.Ledger.lr_implications;
-                 string_of_int row.Hft_obs.Ledger.lr_backtracks;
-                 string_of_int (Hft_obs.Ledger.cost row) ])
-             expensive)
-      end
+      print_expensive expensive
     end
   in
   Cmd.v
@@ -1067,12 +1081,6 @@ let profile_cmd =
     Arg.(value & opt int 1
          & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
   in
-  let jobs_arg =
-    Arg.(value & opt int 1
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Domain count for the ATPG phase (see atpg --jobs); the \
-                   per-worker table is the point of this command.")
-  in
   let folded_out_arg =
     Arg.(value & opt (some string) None
          & info [ "folded-out" ] ~docv:"FILE"
@@ -1085,31 +1093,6 @@ let profile_cmd =
              ~doc:"Offline mode: attribute time from an exported tape \
                    (--journal-out phase events, or --ledger-out per-class \
                    charged costs) instead of running a campaign.")
-  in
-  (* The per-class cost table must render byte-identically to hft
-     report's, so both text and JSON shapes reuse the same ledger
-     accessors and the same column recipe. *)
-  let expensive_rows rows =
-    List.map
-      (fun (row : Hft_obs.Ledger.row) ->
-        [ string_of_int row.Hft_obs.Ledger.lr_class;
-          row.Hft_obs.Ledger.lr_rep;
-          Hft_obs.Ledger.resolution_to_string row.Hft_obs.Ledger.lr_resolution;
-          string_of_int row.Hft_obs.Ledger.lr_fsim_events;
-          string_of_int row.Hft_obs.Ledger.lr_implications;
-          string_of_int row.Hft_obs.Ledger.lr_backtracks;
-          string_of_int (Hft_obs.Ledger.cost row) ])
-      rows
-  in
-  let print_expensive rows =
-    if rows <> [] then begin
-      Printf.printf "\nmost expensive fault classes (top %d):\n"
-        (List.length rows);
-      Hft_util.Pretty.print
-        ~header:
-          [ "class"; "fault"; "resolution"; "fsim ev"; "impl"; "btk"; "cost" ]
-        (expensive_rows rows)
-    end
   in
   let self_json self =
     Hft_util.Json.List
@@ -1159,19 +1142,7 @@ let profile_cmd =
      Shard_stats event, and per-class costs from ledger-tape rows — so
      the profile of a finished run needs only its tapes. *)
   let run_offline file top json =
-    let lines =
-      match open_in file with
-      | exception Sys_error msg ->
-        Printf.eprintf "hft profile: %s\n%!" msg;
-        exit 2
-      | ic ->
-        let rec go acc =
-          match input_line ic with
-          | l -> go (l :: acc)
-          | exception End_of_file -> close_in ic; List.rev acc
-        in
-        go []
-    in
+    let lines = read_tape ~cmd:"profile" file in
     let docs =
       List.filter_map
         (fun l ->
@@ -1232,15 +1203,7 @@ let profile_cmd =
                       phases));
                 ("parallel",
                  match shard with Some d -> d | None -> Hft_util.Json.Null);
-                ("expensive",
-                 Hft_util.Json.List
-                   (List.map
-                      (fun (rep, outcome, cost) ->
-                        Hft_util.Json.Obj
-                          [ ("rep", Hft_util.Json.String rep);
-                            ("resolution", Hft_util.Json.String outcome);
-                            ("cost", Hft_util.Json.Int cost) ])
-                      expensive)) ]))
+                ("expensive", offline_expensive_json expensive) ]))
     else begin
       Printf.printf "profile (offline tape %s):\n" file;
       if phases <> [] then
@@ -1261,14 +1224,7 @@ let profile_cmd =
            (Option.value ~default:0.0 (num "spec_misses" d))
            (100.0 *. Option.value ~default:0.0 (num "utilization" d))
        | None -> ());
-      if expensive <> [] then begin
-        Printf.printf "\nmost expensive fault classes (top %d):\n"
-          (List.length expensive);
-        Hft_util.Pretty.print ~header:[ "fault"; "resolution"; "cost" ]
-          (List.map
-             (fun (rep, outcome, cost) -> [ rep; outcome; string_of_int cost ])
-             expensive)
-      end
+      print_offline_expensive expensive
     end
   in
   let run bench flow width sample top jobs folded_out json journal_in obs =

@@ -461,15 +461,9 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
         ~faults ~scanned
   in
   let t_atpg = Hft_obs.Clock.now () -. t0 in
-  let par =
-    (* The engine always reports — degenerate sequential summary at
-       jobs = 1 — so every campaign record carries utilization. *)
-    match !par_stats with
-    | Some s -> s
-    | None ->
-      Hft_par.Stats.sequential ~classes:0
-        ~wall_ns:(int_of_float (t_atpg *. 1e9))
-  in
+  (* The engine always reports (a degenerate sequential summary at
+     jobs = 1), so every campaign record carries utilization. *)
+  let par = Option.get !par_stats in
   (* Publish the scheduler telemetry: counters and gauges into the
      registry (the hft.par series), one Shard_stats event onto the
      journal, and

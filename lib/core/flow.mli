@@ -96,9 +96,9 @@ type campaign = {
   c_t_fsim : float;                   (** fsim leg wall seconds *)
   c_par : Hft_par.Stats.t;
       (** scheduler telemetry for the ATPG leg — real per-worker
-          measurements when [jobs > 1], the degenerate
-          {!Hft_par.Stats.sequential} summary otherwise, so every
-          campaign carries a utilization figure *)
+          measurements when [jobs > 1], a degenerate one-busy-worker
+          summary otherwise, so every campaign carries a utilization
+          figure *)
 }
 
 (** [test_campaign r] — [sample] keeps one fault in N ([seed] fixes the

@@ -236,11 +236,6 @@ let check_guided_diff ~step_budget ~seed:_ nl =
   let observe =
     Netlist.pos nl @ List.map (fun d -> (Netlist.fanin nl d).(0)) dffs
   in
-  let verdict = function
-    | Podem.Test _ -> "test"
-    | Podem.Untestable -> "untestable"
-    | Podem.Aborted -> "aborted"
-  in
   let checker () =
     Hft_robust.Deadline.checker
       (Hft_robust.Deadline.make ~steps:step_budget ())
@@ -257,7 +252,7 @@ let check_guided_diff ~step_budget ~seed:_ nl =
           ~guidance:(Hft_analysis.Guidance.provide nl ~observe ~faults:[ f ])
           nl ~faults:[ f ] ~assignable ~observe
       in
-      let ku = verdict unguided and kg = verdict guided in
+      let ku = Podem.result_kind unguided and kg = Podem.result_kind guided in
       let repro () = Fault.to_string nl f in
       (match (unguided, guided) with
        | Podem.Test _, Podem.Untestable | Podem.Untestable, Podem.Test _ ->

@@ -8,6 +8,11 @@ type effort = {
 
 type result = Test of (int * bool) list | Untestable | Aborted
 
+let result_kind = function
+  | Test _ -> "test"
+  | Untestable -> "untestable"
+  | Aborted -> "aborted"
+
 (* Static-analysis guidance (built by [Hft_analysis.Guidance]; plain
    data here so the analysis library can sit above this one).  All node
    ids refer to the netlist the search runs on.  [g_common_required]
@@ -641,6 +646,22 @@ let rec generate ?(backtrack_limit = 500) ?check ?guidance nl ~faults
     e2.guided_cuts <- effort.guided_cuts;
     (r2, e2)
   | _ -> (outcome, effort)
+
+(* Guidance is built once per call, outside the ladder: every rung
+   searches the same netlist for the same fault. *)
+let supervised ~supervisor ?guidance ~backtrack_limit nl ~faults ~assignable
+    ~observe =
+  let guidance =
+    Option.map (fun provide -> provide nl ~observe ~faults) guidance
+  in
+  match supervisor with
+  | None ->
+    Ok (generate ~backtrack_limit ?guidance nl ~faults ~assignable ~observe)
+  | Some policy ->
+    Hft_robust.Supervisor.ladder policy ~site:Hft_robust.Chaos.Podem
+      ~budget:backtrack_limit (fun ~budget ~check ->
+        generate ~backtrack_limit:budget ?check ?guidance nl ~faults
+          ~assignable ~observe)
 
 let generate_comb ?backtrack_limit nl ~fault =
   generate ?backtrack_limit nl ~faults:[ fault ] ~assignable:(Netlist.pis nl)

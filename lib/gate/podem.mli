@@ -23,6 +23,10 @@ type result =
   | Untestable                 (** proven: search space exhausted *)
   | Aborted                    (** backtrack limit hit *)
 
+(** ["test"], ["untestable"] or ["aborted"] — the outcome name journal
+    events and reports use. *)
+val result_kind : result -> string
+
 (** Static-analysis guidance, built by [Hft_analysis.Guidance] (plain
     data here so the analysis library can layer above this one).  Node
     ids refer to the netlist the search runs on.
@@ -79,6 +83,18 @@ val generate :
   ?backtrack_limit:int -> ?check:(unit -> unit) -> ?guidance:guidance ->
   Netlist.t -> faults:Fault.t list -> assignable:int list ->
   observe:int list -> result * effort
+
+(** [generate] as the ATPG engines call it: [guidance] (a {!provider})
+    is built once for [nl]/[observe]/[faults], and with
+    [~supervisor:(Some policy)] the search runs under
+    {!Hft_robust.Supervisor.ladder} (site [Podem]): budget escalation
+    and per-attempt deadlines, [Error] once the ladder is exhausted.
+    [~supervisor:None] is the bare [generate] call, always [Ok]. *)
+val supervised :
+  supervisor:Hft_robust.Supervisor.policy option -> ?guidance:provider ->
+  backtrack_limit:int -> Netlist.t -> faults:Fault.t list ->
+  assignable:int list -> observe:int list ->
+  (result * effort, Hft_robust.Failure.t) Stdlib.result
 
 (** Convenience for fully-combinational circuits: assignable = all PIs,
     observe = all POs. *)

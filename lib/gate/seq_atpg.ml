@@ -265,6 +265,27 @@ let replay ?assignable_pis ?strapped nl ~scanned ~tests faults =
     frame_counts;
   (List.rev !detected, !pending)
 
+(* Work on one representative per structural equivalence class; every
+   class member shares the representative's outcome exactly (identical
+   faulty functions).  A supervised collapse that fails degrades to one
+   class per fault: more PODEM calls, but the campaign keeps going. *)
+let class_groups strategy ~supervisor nl faults =
+  let naive () = List.map (fun f -> (f, [ f ])) faults in
+  let collapse () = Fault_collapse.partition (Fault_collapse.compute nl) faults in
+  match strategy, supervisor with
+  | Naive, _ -> naive ()
+  | Drop, None -> collapse ()
+  | Drop, Some _ ->
+    (match
+       Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Collapse collapse
+     with
+     | Ok p -> p
+     | Error _ ->
+       Hft_obs.Journal.record
+         (Hft_obs.Journal.Degraded { site = "collapse"; action = "uncollapsed" });
+       Hft_obs.Registry.incr "hft.robust.degraded";
+       naive ())
+
 (* One speculated PODEM attempt of the frame-growing ladder for one
    class, evaluated on a worker domain: the supervised search outcome,
    the tape of observability writes it deferred ({!Hft_obs.Capture}),
@@ -285,7 +306,6 @@ let run ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
     ?assignable_pis ?strapped ?(strategy = Drop) ?on_test
     ?(supervisor = Some Hft_robust.Supervisor.default) ?resolved ?on_resolved
     ?guidance ?on_par_stats ?(jobs = 1) nl ~faults ~scanned =
-  let jobs = Hft_par.clamp_jobs jobs in
   let t_start = Hft_obs.Clock.now () in
   Hft_obs.Span.with_ "seq-atpg"
     ~attrs:
@@ -302,39 +322,9 @@ let run ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
     Array.init max_frames (fun i ->
         lazy (unroll_full ?assignable_pis ?strapped nl ~frames:(i + 1) ~scanned))
   in
-  (* Work on one representative per structural equivalence class; every
-     class member shares the representative's outcome exactly (identical
-     faulty functions). *)
-  let naive_groups () = List.map (fun f -> (f, [ f ])) faults in
-  let groups =
-    match strategy with
-    | Naive -> naive_groups ()
-    | Drop ->
-      let collapse () =
-        let fc = Fault_collapse.compute nl in
-        Fault_collapse.partition fc faults
-      in
-      let p =
-        match supervisor with
-        | None -> collapse ()
-        | Some _ ->
-          (match
-             Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Collapse
-               collapse
-           with
-           | Ok p -> p
-           | Error _ ->
-             (* Degrade to one class per fault: more PODEM calls, but the
-                campaign keeps going. *)
-             Hft_obs.Journal.record
-               (Hft_obs.Journal.Degraded
-                  { site = "collapse"; action = "uncollapsed" });
-             Hft_obs.Registry.incr "hft.robust.degraded";
-             naive_groups ())
-      in
-      Hft_obs.Registry.incr "hft.seq_atpg.classes" ~by:(List.length p);
-      p
-  in
+  let groups = class_groups strategy ~supervisor nl faults in
+  if strategy = Drop then
+    Hft_obs.Registry.incr "hft.seq_atpg.classes" ~by:(List.length groups);
   let leaders = Array.of_list (List.map fst groups) in
   let members = Array.of_list (List.map snd groups) in
   let sizes = Array.of_list (List.map (fun (_, ms) -> List.length ms) groups) in
@@ -456,21 +446,9 @@ let run ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
      escalation + per-attempt deadlines); unsupervised calls keep the
      historical direct path, bit for bit. *)
   let podem_call u f =
-    let faults = u.u_map_fault f in
-    let gd =
-      Option.map (fun provide -> provide u.u_net ~observe:u.u_observe ~faults)
-        guidance
-    in
-    match supervisor with
-    | None ->
-      Ok
-        (Podem.generate ~backtrack_limit ?guidance:gd u.u_net ~faults
-           ~assignable:u.u_assignable ~observe:u.u_observe)
-    | Some policy ->
-      Hft_robust.Supervisor.ladder policy ~site:Hft_robust.Chaos.Podem
-        ~budget:backtrack_limit (fun ~budget ~check ->
-          Podem.generate ~backtrack_limit:budget ?check ?guidance:gd u.u_net
-            ~faults ~assignable:u.u_assignable ~observe:u.u_observe)
+    Podem.supervised ~supervisor ?guidance ~backtrack_limit u.u_net
+      ~faults:(u.u_map_fault f) ~assignable:u.u_assignable
+      ~observe:u.u_observe
   in
   (* Graceful degradation once the PODEM ladder is exhausted: a
      deterministic burst of random patterns over the unrolled inputs,
@@ -616,11 +594,7 @@ let run ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
             Hft_obs.Journal.record
               (Hft_obs.Journal.Podem_result
                  { cls = lh.(gi);
-                   outcome =
-                     (match result with
-                      | Podem.Test _ -> "test"
-                      | Podem.Untestable -> "untestable"
-                      | Podem.Aborted -> "aborted");
+                   outcome = Podem.result_kind result;
                    frames;
                    backtracks = effort.Podem.backtracks });
           if frames > !frames_used then frames_used := frames;
@@ -703,113 +677,18 @@ let run ?(backtrack_limit = 200) ?(min_frames = 1) ?(max_frames = 6)
     in
     go (min min_frames max_frames) []
   in
-  (* Parallel driver: windows of ~2×jobs pending classes are evaluated
-     speculatively across the pool, then committed strictly in class
-     order.  A class dropped by an earlier commit discards its
-     speculation (tapes never replayed); a shard death leaves [None]
-     results that commit inline — the window size trades speculation
-     waste against parallelism and cannot affect results. *)
-  let par_stats = ref None in
-  let run_parallel pool =
-    (* Warm the original netlist's derived caches before handing it to
-       worker domains: afterwards every access is read-only. *)
-    ignore (Netlist.comb_order nl);
-    (* Scheduler telemetry rides along only when a consumer asked for
-       it; the collector is observational either way (commit order and
-       replayed tapes are untouched). *)
-    let stats =
-      Option.map (fun _ -> Hft_par.Stats.collector ~jobs) on_par_stats
-    in
-    Hft_par.Pool.parallel pool ?stats
-      ~init:(fun () -> Array.make max_frames None)
-    @@ fun section ->
-    let win = 2 * jobs in
-    let cursor = ref 0 in
-    while !cursor < n_groups do
-      let chunk_start = !cursor in
-      let picked = ref [] in
-      let count = ref 0 in
-      let i = ref chunk_start in
-      while !count < win && !i < n_groups do
-        if status.(!i) = `Pending then begin
-          picked := !i :: !picked;
-          incr count
-        end;
-        incr i
-      done;
-      let chunk_end = !i in
-      let window = Array.of_list (List.rev !picked) in
-      let specs, fails =
-        if Array.length window = 0 then ([||], [])
-        else begin
-          (match stats with
-           | Some c ->
-             Hft_par.Stats.note_window c ~filled:(Array.length window)
-               ~cap:win
-           | None -> ());
-          section.run ~n:(Array.length window) ~f:(fun ws k ->
-              eval_class ws window.(k))
-        end
-      in
-      List.iter
-        (fun _fail ->
-          Hft_obs.Journal.record
-            (Hft_obs.Journal.Degraded
-               { site = "shard"; action = "sequential-fallback" });
-          Hft_obs.Registry.incr "hft.robust.degraded")
-        fails;
-      (* Commit strictly in class order.  [window] is exactly the
-         classes of [chunk_start, chunk_end) that were pending at pick
-         time, in ascending order, so iterating it is the same loop the
-         sequential chunk walk ran — plus per-task speculation
-         accounting: a still-pending class replays its speculation
-         (hit) or recomputes inline (dead shard); a class resolved by
-         an earlier commit discards it (miss).  Exactly one bucket per
-         dispatched task. *)
-      Array.iteri
-        (fun k gi ->
-          if status.(gi) = `Pending then
-            match specs.(k) with
-            | Some spec ->
-              (match stats with
-               | Some c -> Hft_par.Stats.note_hit c ~task:k
-               | None -> ());
-              process_class ~spec gi leaders.(gi)
-            | None ->
-              (match stats with
-               | Some c -> Hft_par.Stats.note_inline c
-               | None -> ());
-              process_class gi leaders.(gi)
-          else
-            match stats with
-            | Some c -> Hft_par.Stats.note_miss c ~task:k
-            | None -> ())
-        window;
-      cursor := chunk_end
-    done;
-    match stats with
-    | Some c -> par_stats := Some (Hft_par.Stats.finish c ~classes:n_groups)
-    | None -> ()
-  in
-  if jobs > 1 && n_groups > 1 then run_parallel (Hft_par.Pool.get ~jobs)
-  else
-    Array.iteri
-      (fun gi f -> if status.(gi) = `Pending then process_class gi f)
-      leaders;
-  (match on_par_stats with
-   | None -> ()
-   | Some k ->
-     let s =
-       match !par_stats with
-       | Some s -> s
-       | None ->
-         (* Sequential path: synthesize the degenerate summary so every
-            consumer sees a utilization field. *)
-         Hft_par.Stats.sequential ~classes:n_groups
-           ~wall_ns:
-             (int_of_float ((Hft_obs.Clock.now () -. t_start) *. 1e9))
-     in
-     k s);
+  (* Speculate on the pool, commit in class order ({!Hft_par}): the
+     determinism argument is the driver's, [process_class] keeps its
+     half by replaying tapes.  Warm the original netlist's derived
+     caches before worker domains unroll it: afterwards every access is
+     read-only. *)
+  if jobs > 1 then ignore (Netlist.comb_order nl);
+  Hft_par.commit_in_order ?on_stats:on_par_stats ~t0:t_start ~jobs ~n:n_groups
+    ~pending:(fun gi -> status.(gi) = `Pending)
+    ~init:(fun () -> Array.make max_frames None)
+    ~eval:eval_class
+    ~commit:(fun ?spec gi -> process_class ?spec gi leaders.(gi))
+    ();
   Array.iteri
     (fun gi st ->
       match st with

@@ -52,6 +52,17 @@ type test = {
 
 val fault_coverage : stats -> float
 
+(** [class_groups strategy ~supervisor nl faults] — the (leader,
+    members) classes an engine targets: one singleton per fault under
+    [Naive], {!Fault_collapse.partition} under [Drop].  With a
+    supervisor the collapse runs under {!Hft_robust.Supervisor.protect}
+    (site [Collapse]); a failure records one
+    [Degraded {site = "collapse"}] event and falls back to singletons.
+    Shared by {!run} and [Hft_scan.Full_scan.atpg]. *)
+val class_groups :
+  strategy -> supervisor:Hft_robust.Supervisor.policy option -> Netlist.t ->
+  Fault.t list -> (Fault.t * Fault.t list) list
+
 (** [run nl ~faults ~scanned ~max_frames ~backtrack_limit] attempts each
     fault (class) with growing frame counts (1, 2, ... max_frames),
     recording aggregate effort.  [scanned] lists DFF node ids treated as
@@ -89,8 +100,10 @@ val fault_coverage : stats -> float
     bit.
 
     [jobs] (default 1, clamped to 1–64) shards the campaign over an
-    {!Hft_par} domain pool: pending classes are PODEM-evaluated
-    speculatively on workers, then committed strictly in class order.
+    {!Hft_par} domain pool ({!Hft_par.commit_in_order}, the driver
+    [Hft_scan.Full_scan.atpg] shares): pending classes are
+    PODEM-evaluated speculatively on workers, then committed strictly
+    in class order.
     Coverage, verdicts, tests, ledger waterfalls and the determinism-
     contract counters are bit-identical at any jobs count; a worker
     domain that dies degrades its shard to inline sequential
@@ -100,8 +113,9 @@ val fault_coverage : stats -> float
 
     [on_par_stats] receives the campaign's scheduler telemetry
     ({!Hft_par.Stats.t}) once, after the last class commits: real
-    per-worker measurements on the parallel path, the degenerate
-    {!Hft_par.Stats.sequential} summary on the sequential one.
+    per-worker measurements on the parallel path, a degenerate
+    one-busy-worker summary timed from engine entry on the sequential
+    one.
     Collection is observational — all bit-identity contracts above hold
     with or without it. *)
 val run :

@@ -1,8 +1,8 @@
 (* Fixed-size domain pool with per-worker work-stealing deques.
 
    Architecture: [Pool.get ~jobs] spawns [jobs - 1] domains once and
-   parks them on a condition variable.  Each [section.run] call is one
-   "wave": the calling thread installs a closure, bumps an epoch,
+   parks them on a condition variable.  Each [Pool.wave] call is one
+   wave: the calling thread installs a closure, bumps an epoch,
    broadcasts, and participates as worker 0; workers run the closure
    and the last one out signals completion.  The closure drains
    per-worker deques of task indexes — owner pops the front (lowest
@@ -13,8 +13,8 @@
    Every worker body is wrapped in [Supervisor.protect ~site:Shard]:
    an exception (or injected chaos) kills that shard's remaining work,
    not the process.  Tasks the dead shard never completed simply stay
-   [None] in the result array and the caller recomputes them inline —
-   graceful degradation to sequential, one shard at a time. *)
+   [None] in the result array and [commit_in_order] recomputes them
+   inline — graceful degradation to sequential, one shard at a time. *)
 
 let clamp_jobs j = if j < 1 then 1 else if j > 64 then 64 else j
 
@@ -26,22 +26,14 @@ let jobs_from_env () =
      | Some j when j >= 1 -> clamp_jobs j
      | _ -> 1)
 
-type 'ws section = {
-  run :
-    'a.
-    n:int ->
-    f:('ws -> int -> 'a) ->
-    'a option array * Hft_robust.Failure.t list;
-}
-
 (* Scheduler telemetry.  A [collector] accumulates lock-free while the
    pool runs: the per-worker arrays below are written only by their
    owning worker (worker ids are stable across waves), the
    wave/commit-side fields only by the orchestrating thread, and the
    merge in [finish] runs after [launch]'s final lock round-trip — the
    same happens-before edge the result array already relies on.  All of
-   it is observational: the engines' task order, results and committed
-   telemetry are identical with a collector attached or not. *)
+   it is observational: the collector reads clocks and counts tasks but
+   never decides which task runs where or what gets committed. *)
 module Stats = struct
   type worker = {
     w_domain : int;
@@ -129,10 +121,10 @@ module Stats = struct
            (Array.to_list
               (Array.map (worker_to_json ~wall_ns:t.s_wall_ns) t.s_workers))) ]
 
-  (* Degenerate stats for a campaign the engine ran sequentially
-     (jobs = 1, or nothing to parallelise): one fully-busy worker, no
-     speculation.  Emitted so every bench cell carries a utilization
-     field regardless of path. *)
+  (* Degenerate stats for a campaign run sequentially (jobs = 1, or
+     nothing to parallelise): one fully-busy worker, no speculation.
+     Emitted so every bench cell carries a utilization field regardless
+     of path. *)
   let sequential ~classes ~wall_ns =
     { s_jobs = 1; s_waves = 0; s_tasks = 0; s_wall_ns = wall_ns;
       s_window_fill = 0; s_window_cap = 0; s_critical_ns = wall_ns;
@@ -155,7 +147,6 @@ module Stats = struct
     mutable c_last_wave_end : float option;
     mutable c_commit_flows : int list;  (* bind at the next commit slice *)
     mutable c_flow_base : int;  (* flow-id base of the current wave *)
-    mutable c_next_flow : int;
     c_hits : int array;  (* per evaluating worker *)
     c_misses : int array;
     mutable c_inline : int;
@@ -173,11 +164,16 @@ module Stats = struct
 
   let ns s = int_of_float (s *. 1e9)
 
+  (* Flow-arrow ids are process-wide, so the trace of a process that
+     runs several parallel campaigns never pairs one campaign's
+     speculation with another's commit. *)
+  let next_flow = Atomic.make 0
+
   let collector ~jobs =
     { c_jobs = jobs; c_t0 = Hft_obs.Clock.now (); c_waves = 0; c_tasks = 0;
       c_window_fill = 0; c_window_cap = 0; c_critical_ns = 0; c_stall_ns = 0;
       c_last_wave_end = None; c_commit_flows = []; c_flow_base = 0;
-      c_next_flow = 0; c_hits = Array.make jobs 0;
+      c_hits = Array.make jobs 0;
       c_misses = Array.make jobs 0; c_inline = 0;
       c_evaluated = Array.make jobs 0; c_busy_ns = Array.make jobs 0;
       c_idle_ns = Array.make jobs 0;
@@ -205,8 +201,7 @@ module Stats = struct
     flush_commit c now;
     c.c_waves <- c.c_waves + 1;
     c.c_tasks <- c.c_tasks + n;
-    c.c_flow_base <- c.c_next_flow;
-    c.c_next_flow <- c.c_next_flow + n;
+    c.c_flow_base <- Atomic.fetch_and_add next_flow n;
     c.c_owner <- Array.make n (-1);
     c.c_busy_snap <- Array.copy c.c_busy_ns
 
@@ -261,7 +256,7 @@ module Stats = struct
     c.c_slices.(wid) <- (task, t0, t1 -. t0, stolen_from) :: c.c_slices.(wid);
     r
 
-  (* Engine-side hooks: the commit loop calls exactly one of
+  (* Commit-side hooks: [commit_in_order] calls exactly one of
      [note_hit] / [note_miss] / [note_inline] per dispatched task, which
      is what makes hits + misses + inline = tasks a law rather than an
      approximation. *)
@@ -372,8 +367,6 @@ module Pool = struct
     mutable p_domains : unit Domain.t list;
   }
 
-  let jobs t = t.p_jobs
-
   (* Body exceptions never escape [fn] (worker bodies are protected),
      but keep the accounting alive even if one does: a worker that
      failed to run its wave must still report in or the caller hangs. *)
@@ -479,12 +472,92 @@ module Pool = struct
     Mutex.unlock pools_lock;
     t
 
-  let parallel (type ws) t ?stats ~(init : unit -> ws) (k : ws section -> 'b)
-      : 'b =
+  (* One wave: evaluate [f ws k] for [k = 0 .. n-1] across the pool,
+     each worker on its own workspace.  [results.(k) = None] iff task
+     [k] never completed (its shard died first). *)
+  let wave t ~stats ~workspace ~n ~f =
+    let results = Array.make n None in
+    let fails = ref [] in
+    let fails_lock = Mutex.create () in
+    let deques =
+      Array.init t.p_jobs (fun w ->
+          (* Round-robin striping keeps each deque front-loaded with
+             low task indexes, so owners work commit-order first. *)
+          let mine = ref [] in
+          for k = n - 1 downto 0 do
+            if k mod t.p_jobs = w then mine := k :: !mine
+          done;
+          Deque.make (Array.of_list !mine))
+    in
+    Stats.wave_begin stats ~n;
+    let body wid =
+      let t_enter = Stats.worker_begin stats in
+      let exec ws ~stolen_from k =
+        results.(k) <-
+          Some (Stats.task_run stats ~wid ~task:k ~stolen_from (fun () ->
+                    f ws k))
+      in
+      (match
+         Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Shard
+           (fun () ->
+             let ws = workspace wid in
+             let rec drain () =
+               match Deque.pop_front deques.(wid) with
+               | Some k ->
+                 exec ws ~stolen_from:(-1) k;
+                 drain ()
+               | None -> steal 1
+             and steal off =
+               if off < t.p_jobs then
+                 let victim = (wid + off) mod t.p_jobs in
+                 match Deque.steal_back deques.(victim) with
+                 | Some k ->
+                   exec ws ~stolen_from:victim k;
+                   steal 1
+                 | None -> steal (off + 1)
+             in
+             drain ())
+       with
+       | Ok () -> ()
+       | Error fail ->
+         Mutex.lock fails_lock;
+         fails := fail :: !fails;
+         Mutex.unlock fails_lock);
+      Stats.worker_end stats wid t_enter
+    in
+    launch t body;
+    Stats.wave_end stats;
+    (results, List.rev !fails)
+end
+
+(* The speculate-then-commit driver both ATPG engines run.  Windows of
+   [2 × jobs] pending indexes are evaluated speculatively on the pool,
+   then every window member commits strictly in ascending order: a
+   member still pending replays its speculation (hit) or, when its
+   shard died, recomputes inline (inline); a member resolved meanwhile
+   by an earlier commit discards it (miss) — exactly one bucket per
+   dispatched task.  The window size trades speculation waste against
+   parallelism and cannot affect what is committed. *)
+let commit_in_order ?on_stats ~t0 ~jobs ~n ~pending ~init ~eval
+    ~(commit : ?spec:_ -> int -> unit) () =
+  let jobs = clamp_jobs jobs in
+  if jobs = 1 || n <= 1 then begin
+    for i = 0 to n - 1 do
+      if pending i then commit i
+    done;
+    Option.iter
+      (fun k ->
+        k (Stats.sequential ~classes:n
+             ~wall_ns:(Stats.ns (Hft_obs.Clock.now () -. t0))))
+      on_stats
+  end
+  else begin
+    let pool = Pool.get ~jobs in
+    let stats = Stats.collector ~jobs in
     (* One lazily-built workspace per worker; slot [w] is only ever
        touched by worker [w] (worker ids are stable across waves), so
        no lock is needed. *)
-    let slots : ws option array = Array.make t.p_jobs None in
+    let slots = Array.make jobs None in
     let workspace wid =
       match slots.(wid) with
       | Some ws -> ws
@@ -493,68 +566,45 @@ module Pool = struct
         slots.(wid) <- Some ws;
         ws
     in
-    let run : type a. n:int -> f:(ws -> int -> a) ->
-      a option array * Hft_robust.Failure.t list =
-     fun ~n ~f ->
-      let results = Array.make n None in
-      let fails = ref [] in
-      let fails_lock = Mutex.create () in
-      let deques =
-        Array.init t.p_jobs (fun w ->
-            (* Round-robin striping keeps each deque front-loaded with
-               low task indexes, so owners work commit-order first. *)
-            let mine = ref [] in
-            for k = n - 1 downto 0 do
-              if k mod t.p_jobs = w then mine := k :: !mine
-            done;
-            Deque.make (Array.of_list !mine))
-      in
-      (match stats with Some c -> Stats.wave_begin c ~n | None -> ());
-      let body wid =
-        let t_enter =
-          match stats with Some c -> Stats.worker_begin c | None -> 0.0
+    let win = 2 * jobs in
+    let cursor = ref 0 in
+    while !cursor < n do
+      let picked = ref [] and count = ref 0 in
+      while !count < win && !cursor < n do
+        if pending !cursor then begin
+          picked := !cursor :: !picked;
+          incr count
+        end;
+        incr cursor
+      done;
+      let window = Array.of_list (List.rev !picked) in
+      if !count > 0 then begin
+        Stats.note_window stats ~filled:!count ~cap:win;
+        let specs, fails =
+          Pool.wave pool ~stats ~workspace ~n:!count ~f:(fun ws k ->
+              eval ws window.(k))
         in
-        let exec ws ~stolen_from k =
-          match stats with
-          | None -> results.(k) <- Some (f ws k)
-          | Some c ->
-            results.(k) <-
-              Some (Stats.task_run c ~wid ~task:k ~stolen_from (fun () ->
-                        f ws k))
-        in
-        (match
-           Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Shard
-             (fun () ->
-               let ws = workspace wid in
-               let rec drain () =
-                 match Deque.pop_front deques.(wid) with
-                 | Some k ->
-                   exec ws ~stolen_from:(-1) k;
-                   drain ()
-                 | None -> steal 1
-               and steal off =
-                 if off < t.p_jobs then
-                   let victim = (wid + off) mod t.p_jobs in
-                   match Deque.steal_back deques.(victim) with
-                   | Some k ->
-                     exec ws ~stolen_from:victim k;
-                     steal 1
-                   | None -> steal (off + 1)
-               in
-               drain ())
-         with
-         | Ok () -> ()
-         | Error fail ->
-           Mutex.lock fails_lock;
-           fails := fail :: !fails;
-           Mutex.unlock fails_lock);
-        match stats with
-        | Some c -> Stats.worker_end c wid t_enter
-        | None -> ()
-      in
-      launch t body;
-      (match stats with Some c -> Stats.wave_end c | None -> ());
-      (results, List.rev !fails)
-    in
-    k { run }
-end
+        List.iter
+          (fun _fail ->
+            Hft_obs.Journal.record
+              (Hft_obs.Journal.Degraded
+                 { site = "shard"; action = "sequential-fallback" });
+            Hft_obs.Registry.incr "hft.robust.degraded")
+          fails;
+        Array.iteri
+          (fun task i ->
+            if not (pending i) then Stats.note_miss stats ~task
+            else
+              match specs.(task) with
+              | Some spec ->
+                Stats.note_hit stats ~task;
+                commit ~spec i
+              | None ->
+                Stats.note_inline stats;
+                commit i)
+          window
+      end
+    done;
+    let s = Stats.finish stats ~classes:n in
+    Option.iter (fun k -> k s) on_stats
+  end

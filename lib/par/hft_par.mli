@@ -1,20 +1,15 @@
-(** [Hft_par]: a fixed-size OCaml 5 domain pool for the ATPG engines.
+(** [Hft_par]: multicore speculate-then-commit for the ATPG engines.
 
-    The engines split a fault campaign into collapsed fault classes and
-    evaluate them speculatively on the pool — each worker drains its own
-    deque of class indexes front-first (lowest class index first, i.e.
-    most commit-urgent first) and steals from the back of other workers'
-    deques when it runs dry.  Results come back as an [option] per task:
-    [None] means that task's shard died (or chaos killed it) and the
-    caller must fall back to computing the task inline.  Determinism is
-    the {e caller's} contract — the pool only promises that every task
-    ran at most once and that all side effects of worker bodies
-    happened-before [run] returned.
-
-    The calling thread participates as worker 0, so [jobs = n] uses
-    exactly [n] domains ([n - 1] spawned).  Pools persist per jobs
-    count and are reused across campaigns — domain spawn costs are paid
-    once per process, not once per [run]. *)
+    Both engines ([Seq_atpg.run] and [Full_scan.atpg])
+    split a fault campaign into collapsed fault classes and hand them to
+    {!commit_in_order}: windows of pending classes are evaluated
+    speculatively on a fixed-size OCaml 5 domain pool, then committed
+    one by one in class order on the calling thread.  Workers drain
+    their own deques of class indexes front-first (most commit-urgent
+    first) and steal from the back of other workers' deques when they
+    run dry.  The calling thread participates as worker 0, so
+    [jobs = n] uses exactly [n] domains ([n - 1] spawned); pools persist
+    per jobs count, so domain spawn costs are paid once per process. *)
 
 val clamp_jobs : int -> int
 (** Clamp a user-supplied jobs count to [1 .. 64]. *)
@@ -22,28 +17,19 @@ val clamp_jobs : int -> int
 val jobs_from_env : unit -> int
 (** Parse [HFT_JOBS]; unset, unparsable or < 1 mean [1]. *)
 
-type 'ws section = {
-  run :
-    'a.
-    n:int ->
-    f:('ws -> int -> 'a) ->
-    'a option array * Hft_robust.Failure.t list;
-}
+(** Scheduler telemetry for one campaign run by {!commit_in_order}.
 
-(** Scheduler telemetry for one parallel campaign.
-
-    A {!Stats.collector} rides along a {!Pool.parallel} section and
-    accumulates lock-free: per-worker cells are written only by their
-    owning domain, commit-side tallies only by the orchestrating
-    thread, and the merge happens after the wave barrier's
-    happens-before edge.  Collection is purely observational — task
-    order, results and committed telemetry are bit-identical with or
-    without a collector.
+    The driver accumulates it lock-free on every parallel run:
+    per-worker cells are written only by their owning domain,
+    commit-side tallies only by the orchestrating thread, and the merge
+    happens after the wave barrier's happens-before edge.  Collection is
+    purely observational — it never decides which task runs where or
+    what gets committed.
 
     Three conservation laws hold by construction and are gated in CI:
     {ul
-    {- [spec_hits + spec_misses + inline = tasks] — the engine commit
-       loop buckets every dispatched task exactly once;}
+    {- [spec_hits + spec_misses + inline = tasks] — the commit loop
+       buckets every dispatched task exactly once;}
     {- [Σ w_classes = committed classes] — hits are attributed to the
        evaluating worker, everything else to the orchestrator;}
     {- [Σ (busy + idle + stall) ≤ jobs × wall] — idle counts in-wave
@@ -91,59 +77,41 @@ module Stats : sig
   val spec_miss_rate : t -> float
 
   val to_json : t -> Hft_util.Json.t
-
-  (** Degenerate stats for a sequentially-run campaign: one fully-busy
-      worker holding all [classes], no speculation — so every consumer
-      sees a utilization field regardless of engine path. *)
-  val sequential : classes:int -> wall_ns:int -> t
-
-  type collector
-
-  (** Start collecting; pass the result to {!Pool.parallel}. *)
-  val collector : jobs:int -> collector
-
-  (** Engine-side commit-loop hooks (orchestrator thread only).  The
-      loop must call exactly one of {!note_hit} / {!note_miss} /
-      {!note_inline} per dispatched task; [task] is the wave-local
-      index. *)
-  val note_window : collector -> filled:int -> cap:int -> unit
-
-  val note_hit : collector -> task:int -> unit
-  val note_miss : collector -> task:int -> unit
-  val note_inline : collector -> unit
-
-  (** Merge and seal: [classes] is the campaign's committed class
-      count.  Also closes the final commit window and flushes its trace
-      slice. *)
-  val finish : collector -> classes:int -> t
 end
-(** One parallel section with per-worker workspaces of type ['ws].
-    [run ~n ~f] evaluates [f ws k] for [k = 0 .. n-1] across the pool
-    and returns the results plus the failures of any shard whose body
-    was killed ({!Hft_robust.Supervisor.protect} wraps each worker,
-    site {!Hft_robust.Chaos.site} [Shard]).  [results.(k) = None] iff
-    task [k] never completed — its shard died first; re-run it inline.
-    Workspaces are created lazily, one per worker, and persist across
-    successive [run] calls of the same section. *)
 
-module Pool : sig
-  type t
+(** [commit_in_order ~jobs ~n ~pending ~init ~eval ~commit ()] commits
+    every index [i] of [0 .. n-1] that is still [pending i] when its turn
+    comes, in ascending order, calling [commit ?spec i] exactly once per
+    such index.  [commit] may resolve later indexes (a fault drop makes
+    [pending] false for them); they are then skipped.
 
-  val get : jobs:int -> t
-  (** The process-wide pool with [clamp_jobs jobs] workers, spawning it
-      on first use.  Pools are cached per jobs count and shut down at
-      process exit. *)
+    With [jobs > 1] and [n > 1], windows of [2 × jobs] pending indexes
+    are first evaluated speculatively on the domain pool: [eval ws i]
+    runs on a worker with that worker's workspace [ws] (built by [init]
+    on the worker, at most once per worker per call), and its result is
+    passed to the commit as [~spec].  A window member resolved by an
+    earlier commit discards its speculation (a miss); a member whose
+    shard died ({!Hft_robust.Supervisor.protect}, chaos site [Shard])
+    commits without [spec] (inline), and each dead shard records one
+    [Degraded {site = "shard"}] journal event.
 
-  val jobs : t -> int
+    {b Determinism contract.}  The sequence of [commit] calls — which
+    indexes, in which order — is exactly the sequential loop's,
+    [for i = 0 to n - 1 do if pending i then commit i done], at any
+    jobs count and under any shard failure: only the presence of
+    [spec] varies.  The caller keeps it bit-identical by making
+    [commit ~spec i] equivalent to [commit i] ([eval] must be a pure
+    function of [i] and the workspace, with its side effects deferred
+    onto the [spec], e.g. an {!Hft_obs.Capture} tape replayed at
+    commit).  The driver itself writes nothing the caller commits
+    except the shard breadcrumbs above.
 
-  val parallel :
-    t -> ?stats:Stats.collector -> init:(unit -> 'ws) ->
-    ('ws section -> 'b) -> 'b
-  (** [parallel t ~init k] opens a section whose per-worker workspaces
-      are built by [init] (on the worker that uses them, at most once
-      per worker) and runs [k] with it.  [k] runs on the calling
-      thread; only [section.run] bodies execute on the pool.  [stats]
-      attaches a scheduler-telemetry collector: each [run] becomes one
-      measured wave (per-task busy slices, steal counts, idle time,
-      commit-stall windows) at no change to results. *)
-end
+    [on_stats] receives the scheduler summary once, after the last
+    commit: measured per-worker telemetry on the parallel path, or a
+    degenerate one-busy-worker summary (no tasks, utilization 1.0)
+    whose wall clock runs from [t0] (the campaign's start,
+    {!Hft_obs.Clock.now}) on the sequential one. *)
+val commit_in_order :
+  ?on_stats:(Stats.t -> unit) -> t0:float -> jobs:int -> n:int ->
+  pending:(int -> bool) -> init:(unit -> 'ws) -> eval:('ws -> int -> 'spec) ->
+  commit:(?spec:'spec -> int -> unit) -> unit -> unit

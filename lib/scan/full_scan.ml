@@ -15,7 +15,6 @@ type result = {
 let atpg ?(backtrack_limit = 500) ?(strategy = Seq_atpg.Drop)
     ?(supervisor = Some Hft_robust.Supervisor.default) ?guidance
     ?on_par_stats ?(jobs = 1) nl ~faults =
-  let jobs = Hft_par.clamp_jobs jobs in
   let t_start = Hft_obs.Clock.now () in
   Hft_obs.Span.with_ "full-scan-atpg"
     ~attrs:[ ("faults", string_of_int (List.length faults)) ]
@@ -25,30 +24,7 @@ let atpg ?(backtrack_limit = 500) ?(strategy = Seq_atpg.Drop)
   let observe =
     Netlist.pos nl @ List.map (fun d -> (Netlist.fanin nl d).(0)) dffs
   in
-  let naive_groups () = List.map (fun f -> (f, [ f ])) faults in
-  let groups =
-    match strategy with
-    | Seq_atpg.Naive -> naive_groups ()
-    | Seq_atpg.Drop ->
-      let collapse () =
-        let fc = Fault_collapse.compute nl in
-        Fault_collapse.partition fc faults
-      in
-      (match supervisor with
-       | None -> collapse ()
-       | Some _ ->
-         (match
-            Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Collapse
-              collapse
-          with
-          | Ok p -> p
-          | Error _ ->
-            Hft_obs.Journal.record
-              (Hft_obs.Journal.Degraded
-                 { site = "collapse"; action = "uncollapsed" });
-            Hft_obs.Registry.incr "hft.robust.degraded";
-            naive_groups ()))
-  in
+  let groups = Seq_atpg.class_groups strategy ~supervisor nl faults in
   let leaders = Array.of_list (List.map fst groups) in
   let members = Array.of_list (List.map snd groups) in
   let sizes = Array.of_list (List.map (fun (_, ms) -> List.length ms) groups) in
@@ -73,245 +49,147 @@ let atpg ?(backtrack_limit = 500) ?(strategy = Seq_atpg.Drop)
      are positions, so faults, assignable and observe transfer
      verbatim and the result is the same. *)
   let podem_for net f =
-    let gd =
-      Option.map (fun provide -> provide net ~observe ~faults:[ f ]) guidance
-    in
-    match supervisor with
-    | None ->
-      Ok
-        (Podem.generate ~backtrack_limit ?guidance:gd net ~faults:[ f ]
-           ~assignable ~observe)
-    | Some policy ->
-      Hft_robust.Supervisor.ladder policy ~site:Hft_robust.Chaos.Podem
-        ~budget:backtrack_limit (fun ~budget ~check ->
-          Podem.generate ~backtrack_limit:budget ?check ?guidance:gd net
-            ~faults:[ f ] ~assignable ~observe)
+    Podem.supervised ~supervisor ?guidance ~backtrack_limit net ~faults:[ f ]
+      ~assignable ~observe
   in
-  (* Commit one class in order.  [spec] is the speculated (outcome,
+  (* Commit one pending class.  [spec] is the speculated (outcome,
      telemetry tape) a worker evaluated for this class; replayed here it
      is bit-identical to computing inline, which is also the fallback
-     (no speculation at [jobs = 1], dead shard, stale window). *)
-  let process ?spec gi f =
-      if dropped.(gi) then
-        stats := Atpg_stats.add_detected !stats ~n:sizes.(gi)
-      else begin
-        if obs then
-          Hft_obs.Journal.record
-            (Hft_obs.Journal.Atpg_target
-               { cls = lh.(gi); rep = Fault.to_string nl f; frames = 1 });
-        let supervised =
-          match spec with
-          | Some (outcome, tape) ->
-            Hft_obs.Capture.replay tape;
-            outcome
-          | None -> podem_for nl f
-        in
-        let r, e, abort_evidence =
-          match supervised with
-          | Ok (r, e) -> (r, e, (backtrack_limit, None))
-          | Error fail ->
-            (* Ladder exhausted: count the class as a plain PODEM abort
-               (zero effort — the attempts died before reporting), with
-               the failure as ledger evidence. *)
-            let budget =
-              match supervisor with
-              | Some policy ->
-                Hft_robust.Supervisor.final_budget policy
-                  ~budget:backtrack_limit
-              | None -> backtrack_limit
-            in
-            Hft_obs.Journal.record
-              (Hft_obs.Journal.Degraded { site = "podem"; action = "abort" });
-            Hft_obs.Registry.incr "hft.robust.degraded";
-            ( Podem.Aborted,
-              { Podem.decisions = 0; backtracks = 0; implications = 0;
-                guided_cuts = 0; static_proof = false },
-              (budget, Some (Hft_robust.Failure.to_string fail)) )
-        in
-        stats := Atpg_stats.add_outcome ~n:sizes.(gi) !stats r e;
-        Hft_obs.Ledger.charge lh.(gi) ~implications:e.Podem.implications
-          ~backtracks:e.Podem.backtracks ~guided_cuts:e.Podem.guided_cuts;
-        if obs && e.Podem.static_proof then
-          Hft_obs.Journal.record
-            (Hft_obs.Journal.Static_untestable { cls = lh.(gi); frames = 1 });
-        if obs then
-          Hft_obs.Journal.record
-            (Hft_obs.Journal.Podem_result
-               { cls = lh.(gi);
-                 outcome =
-                   (match r with
-                    | Podem.Test _ -> "test"
-                    | Podem.Untestable -> "untestable"
-                    | Podem.Aborted -> "aborted");
-                 frames = 1;
-                 backtracks = e.Podem.backtracks });
-        match r with
-        | Podem.Test assignment ->
-          tests := assignment :: !tests;
-          let tid = Hft_obs.Ledger.register_test ~frames:1 in
-          if obs then
-            Hft_obs.Journal.record
-              (Hft_obs.Journal.Test_generated { test = tid; frames = 1 });
-          Hft_obs.Ledger.resolve lh.(gi)
-            (Hft_obs.Ledger.Podem_detected
-               { test = tid; backtracks = e.Podem.backtracks; frames = 1 });
-          if strategy = Seq_atpg.Drop then begin
-            let pending = ref [] in
-            for gj = n_groups - 1 downto gi + 1 do
-              if not dropped.(gj) then pending := gj :: !pending
-            done;
-            match !pending with
-            | [] -> ()
-            | pending ->
-              let parr = Array.of_list pending in
-              let run_drop () =
-                Fsim.detect_groups nl
-                  ~on_group_events:(fun k ev ->
-                    Hft_obs.Ledger.charge lh.(parr.(k)) ~fsim_events:ev)
-                  ~assignment ~observe
-                  (List.map (fun gj -> [ leaders.(gj) ]) pending)
-              in
-              let flags =
-                match supervisor with
-                | None -> run_drop ()
-                | Some _ ->
-                  (match
-                     Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim
-                       run_drop
-                   with
-                   | Ok flags -> flags
-                   | Error _ ->
-                     (* Lose the sweep, keep the test. *)
-                     Hft_obs.Journal.record
-                       (Hft_obs.Journal.Degraded
-                          { site = "fsim"; action = "drop-pass-skipped" });
-                     Hft_obs.Registry.incr "hft.robust.degraded";
-                     Array.make (List.length pending) false)
-              in
-              List.iteri
-                (fun k gj ->
-                  if flags.(k) then begin
-                    dropped.(gj) <- true;
-                    Hft_obs.Ledger.resolve lh.(gj)
-                      (Hft_obs.Ledger.Drop_detected { test = tid });
-                    if obs then
-                      Hft_obs.Journal.record
-                        (Hft_obs.Journal.Fault_dropped
-                           { cls = lh.(gj); test = tid })
-                  end)
-                pending;
-              Hft_obs.Registry.incr "hft.full_scan.dropped"
-                ~by:
-                  (List.fold_left
-                     (fun acc gj -> if dropped.(gj) then acc + 1 else acc)
-                     0 pending)
-          end
-        | Podem.Untestable ->
-          Hft_obs.Ledger.resolve lh.(gi)
-            (Hft_obs.Ledger.Proved_untestable { frames = 1 })
-        | Podem.Aborted ->
-          let budget, reason = abort_evidence in
-          Hft_obs.Ledger.resolve lh.(gi)
-            (Hft_obs.Ledger.Aborted { budget; frames = 1; reason })
-      end
-  in
-  (* Parallel driver: windows of pending classes are PODEM-evaluated
-     speculatively on per-domain {!Netlist.copy} workspaces, then every
-     class of the chunk commits in order through [process] — including
-     classes dropped meanwhile, whose speculation is discarded.  See
-     {!Seq_atpg.run} for the determinism argument; the combinational
-     engine is the same shape minus the frame ladder. *)
-  let par_stats = ref None in
-  let run_parallel pool =
-    let stats_c =
-      Option.map (fun _ -> Hft_par.Stats.collector ~jobs) on_par_stats
+     (no speculation at [jobs = 1], dead shard). *)
+  let process ?spec gi =
+    let f = leaders.(gi) in
+    if obs then
+      Hft_obs.Journal.record
+        (Hft_obs.Journal.Atpg_target
+           { cls = lh.(gi); rep = Fault.to_string nl f; frames = 1 });
+    let supervised =
+      match spec with
+      | Some (outcome, tape) ->
+        Hft_obs.Capture.replay tape;
+        outcome
+      | None -> podem_for nl f
     in
-    Hft_par.Pool.parallel pool ?stats:stats_c
-      ~init:(fun () ->
-        let c = Netlist.copy nl in
-        ignore (Netlist.comb_order c);
-        c)
-    @@ fun section ->
-    let win = 2 * jobs in
-    let cursor = ref 0 in
-    while !cursor < n_groups do
-      let chunk_start = !cursor in
-      let picked = ref [] in
-      let count = ref 0 in
-      let i = ref chunk_start in
-      while !count < win && !i < n_groups do
-        if not dropped.(!i) then begin
-          picked := !i :: !picked;
-          incr count
-        end;
-        incr i
-      done;
-      let chunk_end = !i in
-      let window = Array.of_list (List.rev !picked) in
-      let specs, fails =
-        if Array.length window = 0 then ([||], [])
-        else begin
-          (match stats_c with
-           | Some c ->
-             Hft_par.Stats.note_window c ~filled:(Array.length window)
-               ~cap:win
-           | None -> ());
-          section.run ~n:(Array.length window) ~f:(fun ws k ->
-              Hft_obs.Capture.record (fun () ->
-                  podem_for ws leaders.(window.(k))))
-        end
-      in
-      List.iter
-        (fun _fail ->
-          Hft_obs.Journal.record
-            (Hft_obs.Journal.Degraded
-               { site = "shard"; action = "sequential-fallback" });
-          Hft_obs.Registry.incr "hft.robust.degraded")
-        fails;
-      let spec_of = Array.make (chunk_end - chunk_start) None in
-      let task_of = Array.make (chunk_end - chunk_start) (-1) in
-      Array.iteri
-        (fun k gi ->
-          spec_of.(gi - chunk_start) <- specs.(k);
-          task_of.(gi - chunk_start) <- k)
-        window;
-      for gi = chunk_start to chunk_end - 1 do
-        (* Speculation accounting, one bucket per dispatched task: a
-           class still pending at its commit replays its speculation
-           (hit) or recomputes inline (dead shard left [None]); a class
-           dropped by an earlier commit discards it (miss).  Chunk
-           classes that were already dropped at pick time were never
-           dispatched. *)
-        (match stats_c with
-         | Some c when task_of.(gi - chunk_start) >= 0 ->
-           let task = task_of.(gi - chunk_start) in
-           if dropped.(gi) then Hft_par.Stats.note_miss c ~task
-           else if spec_of.(gi - chunk_start) <> None then
-             Hft_par.Stats.note_hit c ~task
-           else Hft_par.Stats.note_inline c
-         | _ -> ());
-        process ?spec:(spec_of.(gi - chunk_start)) gi leaders.(gi)
-      done;
-      cursor := chunk_end
-    done;
-    match stats_c with
-    | Some c -> par_stats := Some (Hft_par.Stats.finish c ~classes:n_groups)
-    | None -> ()
+    let r, e, abort_evidence =
+      match supervised with
+      | Ok (r, e) -> (r, e, (backtrack_limit, None))
+      | Error fail ->
+        (* Ladder exhausted: count the class as a plain PODEM abort
+           (zero effort — the attempts died before reporting), with
+           the failure as ledger evidence. *)
+        let budget =
+          match supervisor with
+          | Some policy ->
+            Hft_robust.Supervisor.final_budget policy
+              ~budget:backtrack_limit
+          | None -> backtrack_limit
+        in
+        Hft_obs.Journal.record
+          (Hft_obs.Journal.Degraded { site = "podem"; action = "abort" });
+        Hft_obs.Registry.incr "hft.robust.degraded";
+        ( Podem.Aborted,
+          { Podem.decisions = 0; backtracks = 0; implications = 0;
+            guided_cuts = 0; static_proof = false },
+          (budget, Some (Hft_robust.Failure.to_string fail)) )
+    in
+    stats := Atpg_stats.add_outcome ~n:sizes.(gi) !stats r e;
+    Hft_obs.Ledger.charge lh.(gi) ~implications:e.Podem.implications
+      ~backtracks:e.Podem.backtracks ~guided_cuts:e.Podem.guided_cuts;
+    if obs && e.Podem.static_proof then
+      Hft_obs.Journal.record
+        (Hft_obs.Journal.Static_untestable { cls = lh.(gi); frames = 1 });
+    if obs then
+      Hft_obs.Journal.record
+        (Hft_obs.Journal.Podem_result
+           { cls = lh.(gi);
+             outcome = Podem.result_kind r;
+             frames = 1;
+             backtracks = e.Podem.backtracks });
+    match r with
+    | Podem.Test assignment ->
+      tests := assignment :: !tests;
+      let tid = Hft_obs.Ledger.register_test ~frames:1 in
+      if obs then
+        Hft_obs.Journal.record
+          (Hft_obs.Journal.Test_generated { test = tid; frames = 1 });
+      Hft_obs.Ledger.resolve lh.(gi)
+        (Hft_obs.Ledger.Podem_detected
+           { test = tid; backtracks = e.Podem.backtracks; frames = 1 });
+      if strategy = Seq_atpg.Drop then begin
+        let pending = ref [] in
+        for gj = n_groups - 1 downto gi + 1 do
+          if not dropped.(gj) then pending := gj :: !pending
+        done;
+        match !pending with
+        | [] -> ()
+        | pending ->
+          let parr = Array.of_list pending in
+          let run_drop () =
+            Fsim.detect_groups nl
+              ~on_group_events:(fun k ev ->
+                Hft_obs.Ledger.charge lh.(parr.(k)) ~fsim_events:ev)
+              ~assignment ~observe
+              (List.map (fun gj -> [ leaders.(gj) ]) pending)
+          in
+          let flags =
+            match supervisor with
+            | None -> run_drop ()
+            | Some _ ->
+              (match
+                 Hft_robust.Supervisor.protect ~site:Hft_robust.Chaos.Fsim
+                   run_drop
+               with
+               | Ok flags -> flags
+               | Error _ ->
+                 (* Lose the sweep, keep the test. *)
+                 Hft_obs.Journal.record
+                   (Hft_obs.Journal.Degraded
+                      { site = "fsim"; action = "drop-pass-skipped" });
+                 Hft_obs.Registry.incr "hft.robust.degraded";
+                 Array.make (List.length pending) false)
+          in
+          List.iteri
+            (fun k gj ->
+              if flags.(k) then begin
+                dropped.(gj) <- true;
+                Hft_obs.Ledger.resolve lh.(gj)
+                  (Hft_obs.Ledger.Drop_detected { test = tid });
+                if obs then
+                  Hft_obs.Journal.record
+                    (Hft_obs.Journal.Fault_dropped
+                       { cls = lh.(gj); test = tid })
+              end)
+            pending;
+          Hft_obs.Registry.incr "hft.full_scan.dropped"
+            ~by:
+              (List.fold_left
+                 (fun acc gj -> if dropped.(gj) then acc + 1 else acc)
+                 0 pending)
+      end
+    | Podem.Untestable ->
+      Hft_obs.Ledger.resolve lh.(gi)
+        (Hft_obs.Ledger.Proved_untestable { frames = 1 })
+    | Podem.Aborted ->
+      let budget, reason = abort_evidence in
+      Hft_obs.Ledger.resolve lh.(gi)
+        (Hft_obs.Ledger.Aborted { budget; frames = 1; reason })
   in
-  if jobs > 1 && n_groups > 1 then run_parallel (Hft_par.Pool.get ~jobs)
-  else Array.iteri (fun gi f -> process gi f) leaders;
-  (match on_par_stats with
-   | None -> ()
-   | Some k ->
-     let s =
-       match !par_stats with
-       | Some s -> s
-       | None ->
-         Hft_par.Stats.sequential ~classes:n_groups
-           ~wall_ns:
-             (int_of_float ((Hft_obs.Clock.now () -. t_start) *. 1e9))
-     in
-     k s);
+  (* Speculate PODEM on per-domain {!Netlist.copy} workspaces, commit
+     in class order ({!Hft_par.commit_in_order}; {!Seq_atpg.run} is the
+     same shape plus the frame ladder). *)
+  Hft_par.commit_in_order ?on_stats:on_par_stats ~t0:t_start ~jobs ~n:n_groups
+    ~pending:(fun gi -> not dropped.(gi))
+    ~init:(fun () ->
+      let c = Netlist.copy nl in
+      ignore (Netlist.comb_order c);
+      c)
+    ~eval:(fun ws gi ->
+      Hft_obs.Capture.record (fun () -> podem_for ws leaders.(gi)))
+    ~commit:process ();
+  (* Classes swept by a drop pass never commit; they count as detected
+     in one tally (Atpg_stats fields are plain sums). *)
+  let n_dropped = ref 0 in
+  Array.iteri (fun gi d -> if d then n_dropped := !n_dropped + sizes.(gi)) dropped;
+  stats := Atpg_stats.add_detected !stats ~n:!n_dropped;
   let chain = Chain.insert nl dffs in
   { chain; tests = List.rev !tests; stats = !stats }
 

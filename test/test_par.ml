@@ -450,6 +450,107 @@ let test_campaign_jobs () =
       Alcotest.(check string) (tag ^ ": waterfall") w1 w)
     [ 2; 4 ]
 
+(* ------------------------------------------------------------------ *)
+(* The driver alone, on a synthetic task set                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [commit_in_order] without an engine: committing index [i] resolves
+   some later indexes, the way a fault drop does, and [eval] is a pure
+   function of the index.  The commit sequence must be the plain
+   sequential loop's at any jobs count, every speculation handed to a
+   commit must be that index's own, and every dispatched task must land
+   in exactly one of hit / miss / inline. *)
+let drive_synthetic ~jobs =
+  let n = 61 in
+  let resolved = Array.make n false in
+  let commits = ref [] in
+  let stats = ref None in
+  Hft_par.commit_in_order ~t0:(Hft_obs.Clock.now ()) ~jobs ~n
+    ~on_stats:(fun s -> stats := Some s)
+    ~pending:(fun i -> not resolved.(i))
+    ~init:(fun () -> ())
+    ~eval:(fun () i -> 10 * i)
+    ~commit:(fun ?spec i ->
+      commits := (i, spec) :: !commits;
+      resolved.(i) <- true;
+      for j = i + 1 to n - 1 do
+        if (i + (2 * j)) mod 5 = 0 then resolved.(j) <- true
+      done)
+    ();
+  (List.rev !commits, Option.get !stats)
+
+let test_driver_synthetic () =
+  let reference, _ = drive_synthetic ~jobs:1 in
+  let expected = List.map fst reference in
+  check "reference skips resolved indexes" true
+    (List.length expected > 0 && List.length expected < 61);
+  List.iter
+    (fun jobs ->
+      let tag = Printf.sprintf "driver -j%d" jobs in
+      let commits, s = drive_synthetic ~jobs in
+      let order = List.map fst commits in
+      let rec ascending = function
+        | a :: (b :: _ as rest) -> a < b && ascending rest
+        | _ -> true
+      in
+      check (tag ^ ": commits strictly ascending") true (ascending order);
+      Alcotest.(check (list int))
+        (tag ^ ": each pending index committed once") expected order;
+      check (tag ^ ": a spec is the index's own evaluation") true
+        (List.for_all
+           (fun (i, spec) ->
+             match spec with Some v -> v = 10 * i | None -> true)
+           commits);
+      let inline_commits =
+        List.length (List.filter (fun (_, spec) -> spec = None) commits)
+      in
+      let open Hft_par.Stats in
+      check_int (tag ^ ": spec absent exactly on inline commits")
+        (if jobs = 1 then List.length commits else inline s)
+        inline_commits;
+      check_int (tag ^ ": hits + misses + inline = tasks") s.s_tasks
+        (spec_hits s + spec_misses s + inline s);
+      check_int (tag ^ ": hits are the commits with a spec")
+        (List.length commits - inline_commits)
+        (spec_hits s);
+      if jobs > 1 then
+        check (tag ^ ": some speculation was discarded") true
+          (spec_misses s > 0))
+    [ 1; 2; 4 ];
+  (* Every shard killed at entry: no speculation survives, so every
+     commit is inline, and each dead shard leaves one breadcrumb. *)
+  List.iter
+    (fun jobs ->
+      let tag = Printf.sprintf "driver shard chaos -j%d" jobs in
+      with_obs @@ fun () ->
+      let commits, s =
+        Hft_robust.Chaos.with_config
+          { Hft_robust.Chaos.seed = 3; prob = 1.0;
+            sites = [ Hft_robust.Chaos.Shard ]; arm_after = 0 }
+          (fun () -> drive_synthetic ~jobs)
+      in
+      Alcotest.(check (list int))
+        (tag ^ ": commit sequence unchanged") expected (List.map fst commits);
+      check (tag ^ ": every commit inline") true
+        (List.for_all (fun (_, spec) -> spec = None) commits);
+      let open Hft_par.Stats in
+      check_int (tag ^ ": no hits") 0 (spec_hits s);
+      let breadcrumbs =
+        List.length
+          (List.filter
+             (fun (e : Hft_obs.Journal.entry) ->
+               match e.e_event with
+               | Hft_obs.Journal.Degraded { site = "shard"; _ } -> true
+               | _ -> false)
+             (Hft_obs.Journal.entries ()))
+      in
+      check (tag ^ ": waves ran") true (s.s_waves > 0);
+      check_int (tag ^ ": one breadcrumb per dead shard") (s.s_waves * jobs)
+        breadcrumbs;
+      check_int (tag ^ ": degraded counter matches") breadcrumbs
+        (Hft_obs.Registry.count "hft.robust.degraded"))
+    [ 2; 4 ]
+
 let () =
   Alcotest.run "hft_par"
     [
@@ -469,5 +570,6 @@ let () =
           Alcotest.test_case "stats observational" `Quick
             test_stats_observational;
           Alcotest.test_case "campaign jobs" `Quick test_campaign_jobs;
+          Alcotest.test_case "driver synthetic" `Quick test_driver_synthetic;
         ] );
     ]
