@@ -238,20 +238,96 @@ let jobs_arg =
                          (clamped to 1-64).  Coverage, verdicts and ledger \
                          waterfalls are bit-identical at any N."))
 
-(* Offline mode of report and profile: the lines of an exported tape
-   (--journal-out / --ledger-out JSONL); exit 2 when unreadable. *)
-let read_tape ~cmd file =
-  match open_in file with
+(* ------------------------------------------------------------------ *)
+(* Campaign knobs and the one campaign runner.                        *)
+
+let sample_arg default =
+  Arg.(value & opt int default
+       & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
+
+let no_guided_arg =
+  Arg.(value & flag
+       & info [ "no-guided" ]
+           ~doc:"Disable static-analysis ATPG guidance (restores the \
+                 historical search bit for bit).")
+
+let top_arg =
+  Arg.(value & opt int 10
+       & info [ "top" ] ~docv:"K"
+           ~doc:"Rows in the most-expensive-fault-classes table.")
+
+(* report and profile either run a live campaign on --bench or replay
+   an exported tape given by --journal-in; giving neither exits 2. *)
+type source = Live of string | Tape of string
+
+let source_term ~cmd =
+  let bench =
+    let doc =
+      Printf.sprintf
+        "Benchmark behaviour (%s).  Required unless --journal-in is given."
+        (String.concat ", " bench_names)
+    in
+    Arg.(value & opt (some string) None
+         & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
+  in
+  let journal_in =
+    Arg.(value & opt (some string) None
+         & info [ "journal-in" ] ~docv:"FILE"
+             ~doc:"Offline mode: read an exported tape (--journal-out event \
+                   JSONL or --ledger-out class JSONL) instead of running a \
+                   campaign; --bench is not needed.  Ledger tapes are \
+                   exact; journal tapes cover whatever the bounded event \
+                   ring still held at export.")
+  in
+  let pick bench journal_in =
+    match (journal_in, bench) with
+    | Some file, _ -> Tape file
+    | None, Some b -> Live b
+    | None, None ->
+      Printf.eprintf "hft %s: --bench is required (or use --journal-in FILE)\n%!"
+        cmd;
+      exit 2
+  in
+  Term.(const pick $ bench $ journal_in)
+
+(* The campaign atpg, report and profile run: resolve the bench,
+   synthesize the flow, start a fresh flight recorder and run the test
+   campaign.  The search knobs are written only here, so every command
+   samples and searches a design identically. *)
+let run_campaign ?label ?checkpoint ?resume ?guided ?jobs ~bench ~flow ~width
+    ~sample () =
+  Hft_obs.enabled := true;
+  Hft_obs.reset ();
+  let g = bench_graph ~extra:(fig1_extra ()) bench in
+  let r = Flow.synthesize ~width flow g in
+  let label =
+    match label with
+    | Some l -> l
+    | None -> bench ^ "/" ^ Flow.flow_kind_to_string flow
+  in
+  Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample ~seed:2024
+    ~n_patterns:64 ?checkpoint ?resume ?guided ?jobs ~campaign:label r
+
+(* Offline mode of report and profile: one exported tape through the
+   one reader, expensive table cut to [top] rows; exit 2 when the tape
+   is unreadable or not a journal or ledger tape. *)
+let read_offline ~cmd ~top file =
+  match In_channel.with_open_text file In_channel.input_all with
   | exception Sys_error msg ->
     Printf.eprintf "hft %s: %s\n%!" cmd msg;
     exit 2
-  | ic ->
-    let rec go acc =
-      match input_line ic with
-      | l -> go (l :: acc)
-      | exception End_of_file -> close_in ic; List.rev acc
-    in
-    go []
+  | text ->
+    (match
+       Hft_obs.Progress.offline_of_lines (String.split_on_char '\n' text)
+     with
+     | Ok off ->
+       { off with
+         Hft_obs.Progress.off_expensive =
+           List.filteri (fun i _ -> i < top) off.Hft_obs.Progress.off_expensive
+       }
+     | Error msg ->
+       Printf.eprintf "hft %s: %s: %s\n%!" cmd file msg;
+       exit 2)
 
 (* The "most expensive fault classes" table report and profile print,
    one recipe each for live ledger rows and for the (rep, resolution,
@@ -336,10 +412,6 @@ let analyze_cmd =
     Term.(const run $ bench_arg $ width_arg $ obs_term)
 
 let atpg_cmd =
-  let sample_arg =
-    Arg.(value & opt int 25
-         & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
-  in
   let checkpoint_arg =
     Arg.(value & opt (some string) None
          & info [ "checkpoint" ] ~docv:"FILE"
@@ -359,106 +431,74 @@ let atpg_cmd =
          & info [ "json" ]
              ~doc:"Campaign mode (--checkpoint): print the summary as JSON.")
   in
-  let no_guided_arg =
-    Arg.(value & flag
-         & info [ "no-guided" ]
-             ~doc:"Disable static-analysis ATPG guidance (restores the \
-                   historical search bit for bit).")
-  in
-  (* Campaign mode: one supervised, checkpointed partial-scan campaign
-     (the resumable path the robustness tests and CI exercise). *)
-  let run_campaign bench width sample checkpoint resume json guided jobs =
-    Hft_obs.enabled := true;
-    Hft_obs.reset ();
-    let g = bench_graph ~extra:(fig1_extra ()) bench in
-    let r = Flow.synthesize_for_partial_scan ~width g in
-    let c =
-      Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample ~seed:2024
-        ~n_patterns:64 ~checkpoint ~resume ~guided ~jobs
-        ~campaign:(bench ^ "/partial-scan/campaign") r
-    in
-    let atpg_cov = Hft_gate.Seq_atpg.fault_coverage c.Flow.c_atpg in
-    let fsim_cov = Hft_gate.Fsim.coverage c.Flow.c_fsim in
-    if json then
-      print_endline
-        (Hft_util.Json.to_string
-           (Hft_util.Json.Obj
-              [ ("schema", Hft_util.Json.String "hft-campaign/1");
-                ("bench", Hft_util.Json.String bench);
-                ("checkpoint", Hft_util.Json.String checkpoint);
-                ("resumed", Hft_util.Json.Bool resume);
-                ("faults", Hft_util.Json.Int (List.length c.Flow.c_faults));
-                ("tests", Hft_util.Json.Int (Hft_obs.Ledger.n_tests ()));
-                ("patterns_stored",
-                 Hft_util.Json.Int c.Flow.c_patterns_stored);
-                ("resumed_classes", Hft_util.Json.Int c.Flow.c_resumed_classes);
-                ("resumed_tests", Hft_util.Json.Int c.Flow.c_resumed_tests);
-                ("waterfall", Hft_obs.Ledger.waterfall_json ());
-                ("coverage",
-                 Hft_util.Json.Obj
-                   [ ("atpg", Hft_util.Json.Float atpg_cov);
-                     ("fsim", Hft_util.Json.Float fsim_cov) ]) ]))
-    else begin
-      Printf.printf
-        "campaign %s: %d faults, %d tests, %d pattern rows; coverage atpg \
-         %s, fsim %s\n"
-        bench
-        (List.length c.Flow.c_faults)
-        (Hft_obs.Ledger.n_tests ())
-        c.Flow.c_patterns_stored
-        (Hft_util.Pretty.pct atpg_cov)
-        (Hft_util.Pretty.pct fsim_cov);
-      if resume then
-        Printf.printf "resumed: %d classes, %d tests restored from %s\n"
-          c.Flow.c_resumed_classes c.Flow.c_resumed_tests checkpoint
-    end
-  in
   let run bench width sample checkpoint resume json no_guided jobs obs =
+    with_obs ~cmd:"atpg" obs @@ fun () ->
+    let guided = not no_guided in
     match checkpoint with
     | Some file ->
-      with_obs ~cmd:"atpg" obs @@ fun () ->
-      run_campaign bench width sample file resume json (not no_guided) jobs
+      (* Campaign mode: one supervised, checkpointed partial-scan
+         campaign (the resumable path the robustness tests and CI
+         exercise). *)
+      let c =
+        run_campaign ~label:(bench ^ "/partial-scan/campaign") ~checkpoint:file
+          ~resume ~guided ~jobs ~bench ~flow:Flow.Partial_scan ~width ~sample ()
+      in
+      let atpg_cov = Hft_gate.Seq_atpg.fault_coverage c.Flow.c_atpg in
+      let fsim_cov = Hft_gate.Fsim.coverage c.Flow.c_fsim in
+      if json then
+        print_endline
+          (Hft_util.Json.to_string
+             (Hft_util.Json.Obj
+                [ ("schema", Hft_util.Json.String "hft-campaign/1");
+                  ("bench", Hft_util.Json.String bench);
+                  ("checkpoint", Hft_util.Json.String file);
+                  ("resumed", Hft_util.Json.Bool resume);
+                  ("faults", Hft_util.Json.Int (List.length c.Flow.c_faults));
+                  ("tests", Hft_util.Json.Int (Hft_obs.Ledger.n_tests ()));
+                  ("patterns_stored",
+                   Hft_util.Json.Int c.Flow.c_patterns_stored);
+                  ("resumed_classes",
+                   Hft_util.Json.Int c.Flow.c_resumed_classes);
+                  ("resumed_tests", Hft_util.Json.Int c.Flow.c_resumed_tests);
+                  ("waterfall", Hft_obs.Ledger.waterfall_json ());
+                  ("coverage",
+                   Hft_util.Json.Obj
+                     [ ("atpg", Hft_util.Json.Float atpg_cov);
+                       ("fsim", Hft_util.Json.Float fsim_cov) ]) ]))
+      else begin
+        Printf.printf
+          "campaign %s: %d faults, %d tests, %d pattern rows; coverage atpg \
+           %s, fsim %s\n"
+          bench
+          (List.length c.Flow.c_faults)
+          (Hft_obs.Ledger.n_tests ())
+          c.Flow.c_patterns_stored
+          (Hft_util.Pretty.pct atpg_cov)
+          (Hft_util.Pretty.pct fsim_cov);
+        if resume then
+          Printf.printf "resumed: %d classes, %d tests restored from %s\n"
+            c.Flow.c_resumed_classes c.Flow.c_resumed_tests file
+      end
     | None ->
-    with_obs ~cmd:"atpg" obs @@ fun () ->
-    let g = bench_graph ~extra:(fig1_extra ()) bench in
-    let rng = Hft_util.Rng.create 2024 in
-    let conv = Flow.synthesize_conventional ~width g in
-    let scan = Flow.synthesize_for_partial_scan ~width g in
-    let atpg tag (r : Flow.result) =
-      let ex = Hft_gate.Expand.of_datapath r.Flow.datapath in
-      let nl = ex.Hft_gate.Expand.netlist in
-      let faults =
-        Hft_gate.Fault.collapsed nl
-        |> List.filter (fun _ -> Hft_util.Rng.int rng sample = 0)
-      in
-      let scanned =
-        Array.to_list r.Flow.datapath.Hft_rtl.Datapath.regs
-        |> List.concat_map (fun reg ->
-               if reg.Hft_rtl.Datapath.r_kind = Hft_rtl.Datapath.Scan then
-                 Array.to_list ex.Hft_gate.Expand.reg_q.(reg.Hft_rtl.Datapath.r_id)
-               else [])
-      in
-      let guidance =
-        if no_guided then None else Some Hft_analysis.Guidance.provide
-      in
-      let stats =
-        Hft_scan.Partial_scan.atpg ~backtrack_limit:50 ~max_frames:3
-          ?guidance ~jobs nl ~faults ~scanned
-      in
-      Printf.printf "%-14s %4d faults  coverage %6s  backtracks %7d  scan cells %d\n"
-        tag (List.length faults)
-        (Hft_util.Pretty.pct (Hft_gate.Seq_atpg.fault_coverage stats))
-        stats.Hft_gate.Seq_atpg.backtracks (List.length scanned)
-    in
-    atpg "no DFT" conv;
-    atpg "partial scan" scan
+      (* Comparison mode: the survey's no-DFT vs partial-scan rows; each
+         row is the campaign `report --flow` runs at the same --sample. *)
+      List.iter
+        (fun (tag, flow) ->
+          let c = run_campaign ~guided ~jobs ~bench ~flow ~width ~sample () in
+          Printf.printf
+            "%-14s %4d faults  coverage %6s  backtracks %7d  scan cells %d\n"
+            tag (List.length c.Flow.c_faults)
+            (Hft_util.Pretty.pct (Hft_gate.Seq_atpg.fault_coverage c.Flow.c_atpg))
+            c.Flow.c_atpg.Hft_gate.Seq_atpg.backtracks
+            (List.length c.Flow.c_scanned))
+        [ ("no DFT", Flow.Conventional); ("partial scan", Flow.Partial_scan) ]
   in
   Cmd.v
     (Cmd.info "atpg"
        ~doc:
          "Gate-level sequential ATPG comparison; with --checkpoint, a \
           resumable supervised test campaign")
-    Term.(const run $ bench_arg $ width_arg $ sample_arg $ checkpoint_arg
+    Term.(const run $ bench_arg $ width_arg $ sample_arg 25 $ checkpoint_arg
           $ resume_arg $ json_arg $ no_guided_arg $ jobs_arg $ obs_term)
 
 let bist_cmd =
@@ -612,16 +652,17 @@ let bench_cmd =
     let t_synth = now () -. t0 in
     (* Gate-level legs: a sampled sequential-ATPG run (PODEM effort)
        and a coverage fault-simulation run (event throughput), shared
-       with the library as [Flow.test_campaign].  The primary run is
+       with the library as [Flow.test_campaign] at its default search
+       knobs, one [leg] per campaign.  The primary run is
        unguided, so every legacy field stays comparable (bit-identical
        engine counters) across the guidance change; a second, guided
        run fills the "guided" sub-object. *)
     let strategy = if naive then Flow.Naive else Flow.Fast in
-    let c =
-      Flow.test_campaign ~strategy ~backtrack_limit:20 ~max_frames:2 ~sample
-        ~seed:2024 ~n_patterns:64 ~guided:false
-        ~campaign:(bench_name ^ "/" ^ flow_name ^ "/unguided") r
+    let leg ?jobs ~guided tag =
+      Flow.test_campaign ~strategy ~sample ~guided ?jobs
+        ~campaign:(bench_name ^ "/" ^ flow_name ^ "/" ^ tag) r
     in
+    let c = leg ~guided:false "unguided" in
     let faults = c.Flow.c_faults in
     let stats = c.Flow.c_atpg and fr = c.Flow.c_fsim in
     let t_atpg = c.Flow.c_t_atpg and t_fsim = c.Flow.c_t_fsim in
@@ -635,11 +676,7 @@ let bench_cmd =
       if naive then []
       else begin
         Hft_obs.reset ();
-        let cg =
-          Flow.test_campaign ~strategy ~backtrack_limit:20 ~max_frames:2
-            ~sample ~seed:2024 ~n_patterns:64 ~guided:true
-            ~campaign:(bench_name ^ "/" ^ flow_name ^ "/guided") r
-        in
+        let cg = leg ~guided:true "guided" in
         let guided_outcomes = outcome_map () in
         let flips = ref 0 in
         Hashtbl.iter
@@ -688,11 +725,7 @@ let bench_cmd =
             (fun j ->
               Hft_obs.reset ();
               let cj =
-                Flow.test_campaign ~strategy ~backtrack_limit:20 ~max_frames:2
-                  ~sample ~seed:2024 ~n_patterns:64 ~guided:false ~jobs:j
-                  ~campaign:
-                    (Printf.sprintf "%s/%s/unguided-j%d" bench_name flow_name j)
-                  r
+                leg ~jobs:j ~guided:false (Printf.sprintf "unguided-j%d" j)
               in
               let obj =
                 Hft_util.Json.Obj
@@ -802,18 +835,22 @@ let bench_cmd =
                    speedup field.")
   in
   let run quick json out width naive jobs obs =
-    with_obs ~cmd:"bench" obs @@ fun () ->
-    Hft_obs.enabled := true;
+    (* Validated before any cell runs: a typo must not cost a matrix. *)
     let jobs_list =
       if jobs = "" then []
       else
-        List.filter_map
+        List.map
           (fun s ->
             match int_of_string_opt (String.trim s) with
-            | Some j when j >= 1 -> Some (Hft_par.clamp_jobs j)
-            | _ -> None)
+            | Some j when j >= 1 -> Hft_par.clamp_jobs j
+            | _ ->
+              Hft_robust.Validation.fail ~site:"cli.bench"
+                ~hint:"give comma-separated domain counts >= 1, e.g. 1,2,4"
+                (Printf.sprintf "--jobs %S: %S is not a domain count" jobs s))
           (String.split_on_char ',' jobs)
     in
+    with_obs ~cmd:"bench" obs @@ fun () ->
+    Hft_obs.enabled := true;
     let benches =
       if quick then [ "tseng"; "diffeq" ] else bench_names
     in
@@ -868,108 +905,54 @@ let bench_cmd =
 (* collapsed fault class ended up) and the most expensive faults.     *)
 
 let report_cmd =
-  let report_bench_arg =
-    let doc =
-      Printf.sprintf
-        "Benchmark behaviour (%s).  Required unless --journal-in is given."
-        (String.concat ", " bench_names)
-    in
-    Arg.(value & opt (some string) None
-         & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
-  in
   let json_arg =
     Arg.(value & flag
          & info [ "json" ] ~doc:"Emit the report as machine-readable JSON.")
   in
-  let top_arg =
-    Arg.(value & opt int 10
-         & info [ "top" ] ~docv:"K"
-             ~doc:"Rows in the most-expensive-faults table.")
-  in
-  let sample_arg =
-    Arg.(value & opt int 1
-         & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
-  in
-  let no_guided_arg =
-    Arg.(value & flag
-         & info [ "no-guided" ]
-             ~doc:"Disable static-analysis ATPG guidance (restores the \
-                   historical search bit for bit).")
-  in
-  let journal_in_arg =
-    Arg.(value & opt (some string) None
-         & info [ "journal-in" ] ~docv:"FILE"
-             ~doc:"Offline mode: rebuild the coverage waterfall from an \
-                   exported tape (--journal-out event JSONL or --ledger-out \
-                   class JSONL) instead of running a campaign.  --bench is \
-                   not needed.  Ledger tapes are exact; journal tapes cover \
-                   whatever the bounded event ring still held at export.")
-  in
   (* Offline mode: no engines run, the waterfall is rebuilt from the
      tape alone — so a forensics report survives the run that made it. *)
   let run_offline file top json =
-    match Hft_obs.Progress.offline_of_lines (read_tape ~cmd:"report" file) with
-    | Error msg ->
-      Printf.eprintf "hft report: %s: %s\n%!" file msg;
-      exit 2
-    | Ok off ->
-      let expensive =
-        List.filteri (fun i _ -> i < top)
-          off.Hft_obs.Progress.off_expensive
-      in
-      if json then
-        print_endline
-          (Hft_util.Json.to_string
-             (Hft_util.Json.Obj
-                [ ("schema", Hft_util.Json.String "hft-report/1");
-                  ("source", Hft_util.Json.String
-                               off.Hft_obs.Progress.off_source);
-                  ("file", Hft_util.Json.String file);
-                  ("classes", Hft_util.Json.Int
-                                off.Hft_obs.Progress.off_classes);
-                  ("faults", Hft_util.Json.Int
-                               off.Hft_obs.Progress.off_faults);
-                  ("waterfall",
-                   Hft_obs.Progress.offline_waterfall_json off);
-                  ("tests", Hft_util.Json.Int
-                              off.Hft_obs.Progress.off_tests);
-                  ("expensive", offline_expensive_json expensive) ]))
-      else begin
-        Printf.printf "coverage waterfall (offline, %s tape %s):\n"
-          off.Hft_obs.Progress.off_source file;
-        Hft_util.Pretty.print ~header:[ "stage"; "classes"; "faults" ]
-          ([ [ "collapsed";
-               string_of_int off.Hft_obs.Progress.off_classes;
-               string_of_int off.Hft_obs.Progress.off_faults ] ]
-           @ List.map
-               (fun (key, (classes, faults)) ->
-                 [ key; string_of_int classes; string_of_int faults ])
-               off.Hft_obs.Progress.off_waterfall);
-        Printf.printf "%d tests on tape\n" off.Hft_obs.Progress.off_tests;
-        print_offline_expensive expensive
-      end
+    let off = read_offline ~cmd:"report" ~top file in
+    let expensive = off.Hft_obs.Progress.off_expensive in
+    if json then
+      print_endline
+        (Hft_util.Json.to_string
+           (Hft_util.Json.Obj
+              [ ("schema", Hft_util.Json.String "hft-report/1");
+                ("source", Hft_util.Json.String
+                             off.Hft_obs.Progress.off_source);
+                ("file", Hft_util.Json.String file);
+                ("classes", Hft_util.Json.Int
+                              off.Hft_obs.Progress.off_classes);
+                ("faults", Hft_util.Json.Int
+                             off.Hft_obs.Progress.off_faults);
+                ("waterfall",
+                 Hft_obs.Progress.offline_waterfall_json off);
+                ("tests", Hft_util.Json.Int
+                            off.Hft_obs.Progress.off_tests);
+                ("expensive", offline_expensive_json expensive) ]))
+    else begin
+      Printf.printf "coverage waterfall (offline, %s tape %s):\n"
+        off.Hft_obs.Progress.off_source file;
+      Hft_util.Pretty.print ~header:[ "stage"; "classes"; "faults" ]
+        ([ [ "collapsed";
+             string_of_int off.Hft_obs.Progress.off_classes;
+             string_of_int off.Hft_obs.Progress.off_faults ] ]
+         @ List.map
+             (fun (key, (classes, faults)) ->
+               [ key; string_of_int classes; string_of_int faults ])
+             off.Hft_obs.Progress.off_waterfall);
+      Printf.printf "%d tests on tape\n" off.Hft_obs.Progress.off_tests;
+      print_offline_expensive expensive
+    end
   in
-  let run bench flow width sample top json no_guided journal_in obs =
-    match journal_in with
-    | Some file -> run_offline file top json
-    | None ->
-    let bench =
-      match bench with
-      | Some b -> b
-      | None ->
-        Printf.eprintf
-          "hft report: --bench is required (or use --journal-in FILE)\n%!";
-        exit 2
-    in
+  let run source flow width sample top json no_guided obs =
+    match source with
+    | Tape file -> run_offline file top json
+    | Live bench ->
     with_obs ~cmd:"report" obs @@ fun () ->
-    Hft_obs.enabled := true;
-    Hft_obs.reset ();
-    let g = bench_graph ~extra:(fig1_extra ()) bench in
-    let r = Flow.synthesize ~width flow g in
     let c =
-      Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample ~seed:2024
-        ~n_patterns:64 ~guided:(not no_guided)
-        ~campaign:(bench ^ "/" ^ Flow.flow_kind_to_string flow) r
+      run_campaign ~guided:(not no_guided) ~bench ~flow ~width ~sample ()
     in
     let flow_name = Flow.flow_kind_to_string flow in
     let n_faults = List.length c.Flow.c_faults in
@@ -1047,8 +1030,8 @@ let report_cmd =
           PODEM-detected, aborted, untestable) and the most expensive fault \
           classes (benches include fig1b/fig1c); with --journal-in, rebuild \
           the waterfall offline from an exported tape")
-    Term.(const run $ report_bench_arg $ flow_arg $ width_arg $ sample_arg
-          $ top_arg $ json_arg $ no_guided_arg $ journal_in_arg $ obs_term)
+    Term.(const run $ source_term ~cmd:"report" $ flow_arg $ width_arg
+          $ sample_arg 1 $ top_arg $ json_arg $ no_guided_arg $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* hft profile: where did the campaign's time go?  Live mode runs a   *)
@@ -1059,40 +1042,15 @@ let report_cmd =
 (* Offline mode replays an exported tape instead of running engines.  *)
 
 let profile_cmd =
-  let profile_bench_arg =
-    let doc =
-      Printf.sprintf
-        "Benchmark behaviour (%s).  Required unless --journal-in is given."
-        (String.concat ", " bench_names)
-    in
-    Arg.(value & opt (some string) None
-         & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
-  in
   let json_arg =
     Arg.(value & flag
          & info [ "json" ] ~doc:"Emit the profile as machine-readable JSON.")
-  in
-  let top_arg =
-    Arg.(value & opt int 10
-         & info [ "top" ] ~docv:"K"
-             ~doc:"Rows in the top-classes-by-charged-cost table.")
-  in
-  let sample_arg =
-    Arg.(value & opt int 1
-         & info [ "sample" ] ~docv:"N" ~doc:"Keep one fault in N.")
   in
   let folded_out_arg =
     Arg.(value & opt (some string) None
          & info [ "folded-out" ] ~docv:"FILE"
              ~doc:"Write folded stacks (one 'a;b;c <microseconds>' line per \
                    path, flamegraph.pl input) for the run.")
-  in
-  let journal_in_arg =
-    Arg.(value & opt (some string) None
-         & info [ "journal-in" ] ~docv:"FILE"
-             ~doc:"Offline mode: attribute time from an exported tape \
-                   (--journal-out phase events, or --ledger-out per-class \
-                   charged costs) instead of running a campaign.")
   in
   let self_json self =
     Hft_util.Json.List
@@ -1137,56 +1095,13 @@ let profile_cmd =
                 ms w.Hft_par.Stats.w_stall_ns ])
             par.Hft_par.Stats.s_workers))
   in
-  (* Offline: phase self time comes from the journal's phase_end events
-     (they carry elapsed seconds), the scheduler summary from the
-     Shard_stats event, and per-class costs from ledger-tape rows — so
-     the profile of a finished run needs only its tapes. *)
+  (* Offline: the tape reader sums the journal's phase_end events and
+     keeps its Shard_stats event; per-class costs come from ledger-tape
+     rows — so the profile of a finished run needs only its tapes. *)
   let run_offline file top json =
-    let lines = read_tape ~cmd:"profile" file in
-    let docs =
-      List.filter_map
-        (fun l ->
-          if String.trim l = "" then None
-          else Result.to_option (Hft_util.Json.parse l))
-        lines
-    in
-    if docs = [] then begin
-      Printf.eprintf "hft profile: %s: no parseable JSONL lines\n%!" file;
-      exit 2
-    end;
-    let str k j =
-      match Hft_util.Json.member k j with
-      | Some (Hft_util.Json.String s) -> Some s
-      | _ -> None
-    in
-    let num k j =
-      match Hft_util.Json.member k j with
-      | Some (Hft_util.Json.Float f) -> Some f
-      | Some (Hft_util.Json.Int i) -> Some (float_of_int i)
-      | _ -> None
-    in
-    (* Σ elapsed (ms) per phase name, tape order first-seen. *)
-    let phases : (string * float) list =
-      List.fold_left
-        (fun acc d ->
-          match (str "type" d, str "name" d, num "elapsed_ms" d) with
-          | (Some "phase_end", Some name, Some e) ->
-            (match List.assoc_opt name acc with
-             | Some _ ->
-               List.map
-                 (fun (n, t) -> if n = name then (n, t +. e) else (n, t))
-                 acc
-             | None -> acc @ [ (name, e) ])
-          | _ -> acc)
-        [] docs
-    in
-    let shard = List.find_opt (fun d -> str "type" d = Some "shard_stats") docs in
-    let expensive =
-      match Hft_obs.Progress.offline_of_lines lines with
-      | Ok off when off.Hft_obs.Progress.off_expensive <> [] ->
-        List.filteri (fun i _ -> i < top) off.Hft_obs.Progress.off_expensive
-      | _ -> []
-    in
+    let off = read_offline ~cmd:"profile" ~top file in
+    let phases = off.Hft_obs.Progress.off_phases in
+    let expensive = off.Hft_obs.Progress.off_expensive in
     if json then
       print_endline
         (Hft_util.Json.to_string
@@ -1202,7 +1117,8 @@ let profile_cmd =
                             ("elapsed_ms", Hft_util.Json.Float t) ])
                       phases));
                 ("parallel",
-                 match shard with Some d -> d | None -> Hft_util.Json.Null);
+                 Option.value ~default:Hft_util.Json.Null
+                   off.Hft_obs.Progress.off_shard);
                 ("expensive", offline_expensive_json expensive) ]))
     else begin
       Printf.printf "profile (offline tape %s):\n" file;
@@ -1212,43 +1128,18 @@ let profile_cmd =
              (fun (n, t) -> [ n; Printf.sprintf "%.2f" t ])
              phases)
       else Printf.printf "(no phase events on tape)\n";
-      (match shard with
-       | Some d ->
-         Printf.printf
-           "scheduler: jobs %.0f · tasks %.0f · steals %.0f · spec hit/miss \
-            %.0f/%.0f · utilization %.1f%%\n"
-           (Option.value ~default:1.0 (num "jobs" d))
-           (Option.value ~default:0.0 (num "tasks" d))
-           (Option.value ~default:0.0 (num "steals" d))
-           (Option.value ~default:0.0 (num "spec_hits" d))
-           (Option.value ~default:0.0 (num "spec_misses" d))
-           (100.0 *. Option.value ~default:0.0 (num "utilization" d))
-       | None -> ());
+      Option.iter
+        (fun d -> print_endline (Hft_obs.Progress.shard_brief d))
+        off.Hft_obs.Progress.off_shard;
       print_offline_expensive expensive
     end
   in
-  let run bench flow width sample top jobs folded_out json journal_in obs =
-    match journal_in with
-    | Some file -> run_offline file top json
-    | None ->
-    let bench =
-      match bench with
-      | Some b -> b
-      | None ->
-        Printf.eprintf
-          "hft profile: --bench is required (or use --journal-in FILE)\n%!";
-        exit 2
-    in
+  let run source flow width sample top jobs folded_out json obs =
+    match source with
+    | Tape file -> run_offline file top json
+    | Live bench ->
     with_obs ~cmd:"profile" obs @@ fun () ->
-    Hft_obs.enabled := true;
-    Hft_obs.reset ();
-    let g = bench_graph ~extra:(fig1_extra ()) bench in
-    let r = Flow.synthesize ~width flow g in
-    let c =
-      Flow.test_campaign ~backtrack_limit:50 ~max_frames:3 ~sample ~seed:2024
-        ~n_patterns:64 ~jobs
-        ~campaign:(bench ^ "/" ^ Flow.flow_kind_to_string flow) r
-    in
+    let c = run_campaign ~jobs ~bench ~flow ~width ~sample () in
     let self = Hft_obs.Export.self_times () in
     let expensive = Hft_obs.Ledger.top_expensive ~k:top in
     (match folded_out with
@@ -1292,8 +1183,8 @@ let profile_cmd =
           to report's table).  --folded-out writes flamegraph.pl input; \
           --journal-in profiles an exported tape offline instead of \
           running a campaign.")
-    Term.(const run $ profile_bench_arg $ flow_arg $ width_arg $ sample_arg
-          $ top_arg $ jobs_arg $ folded_out_arg $ json_arg $ journal_in_arg
+    Term.(const run $ source_term ~cmd:"profile" $ flow_arg $ width_arg
+          $ sample_arg 1 $ top_arg $ jobs_arg $ folded_out_arg $ json_arg
           $ obs_term)
 
 (* ------------------------------------------------------------------ *)
@@ -1341,14 +1232,15 @@ let watch_cmd =
     let chunk = Bytes.create 65536 in
     let view = ref Hft_obs.Progress.empty_view in
     let feed_line line =
+      let before = (!view).Hft_obs.Progress.v_snapshot in
       view := Hft_obs.Progress.view_line !view line;
       (* Non-TTY live tail: one brief line per snapshot keeps logs
-         readable; the full dashboard prints once at the end. *)
+         readable; the full dashboard prints once at the end.  Every
+         snapshot line installs a fresh [v_snapshot], so a physical
+         change marks one. *)
       if (not tty) && not no_follow then
-        match Hft_util.Json.parse line with
-        | Ok j
-          when Hft_util.Json.member "type" j
-               = Some (Hft_util.Json.String "snapshot") ->
+        match (!view).Hft_obs.Progress.v_snapshot with
+        | Some j when (!view).Hft_obs.Progress.v_snapshot != before ->
           print_endline (Hft_obs.Progress.snapshot_brief j)
         | _ -> ()
     in

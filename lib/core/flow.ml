@@ -66,7 +66,16 @@ let measure ~flow ~base_area d ~sessions =
    total also feeds the [hft.flow.time] timer. *)
 let span = Hft_obs.Span.with_
 
-let flow_root name g f =
+(* Out-of-range knobs are input errors (exit 2 in the CLI), not engine
+   crashes deep inside data-path generation or fault sampling. *)
+let check_positive ~site ~hint name v =
+  if v < 1 then
+    Hft_robust.Validation.fail ~site ~hint
+      (Printf.sprintf "%s must be >= 1, got %d" name v)
+
+let flow_root ~width name g f =
+  check_positive ~site:"flow.synthesize" ~hint:"pass --width 1 or more"
+    "width" width;
   Hft_obs.Registry.time "hft.flow.time" @@ fun () ->
   span ("flow:" ^ name)
     ~attrs:[ ("ops", string_of_int (Hft_cdfg.Graph.n_ops g)) ]
@@ -75,7 +84,7 @@ let flow_root name g f =
       f ())
 
 let synthesize_conventional ?(width = 8) ?(resources = default_resources) g =
-  flow_root "conventional" g @@ fun () ->
+  flow_root ~width "conventional" g @@ fun () ->
   let latency = Hft_hls.Sched_algos.latencies g in
   let sched =
     span "schedule" (fun () -> Hft_hls.List_sched.schedule ~latency g ~resources)
@@ -97,7 +106,7 @@ let synthesize_conventional ?(width = 8) ?(resources = default_resources) g =
   { graph = g; sched; binding; alloc; datapath; report }
 
 let synthesize_for_partial_scan ?(width = 8) ?(resources = default_resources) g =
-  flow_root "partial-scan" g @@ fun () ->
+  flow_root ~width "partial-scan" g @@ fun () ->
   let base =
     span "baseline" (fun () -> (synthesize_conventional ~width ~resources g).datapath)
   in
@@ -153,7 +162,7 @@ let synthesize_for_partial_scan ?(width = 8) ?(resources = default_resources) g 
   { graph = g; sched; binding; alloc; datapath; report }
 
 let synthesize_for_bist ?(width = 8) ?(resources = default_resources) g =
-  flow_root "bist" g @@ fun () ->
+  flow_root ~width "bist" g @@ fun () ->
   let base =
     span "baseline" (fun () -> (synthesize_conventional ~width ~resources g).datapath)
   in
@@ -240,6 +249,8 @@ let test_campaign ?(strategy = Fast) ?(backtrack_limit = 20) ?(max_frames = 2)
     Hft_robust.Validation.fail ~site:"flow.test_campaign"
       ~hint:"drop --naive or drop --checkpoint"
       "checkpointing needs the fast strategy";
+  check_positive ~site:"flow.test_campaign" ~hint:"pass --sample 1 or more"
+    "sample" sample;
   let ex = Hft_gate.Expand.of_datapath r.datapath in
   let nl = ex.Hft_gate.Expand.netlist in
   let rng = Hft_util.Rng.create seed in

@@ -31,7 +31,8 @@ type result = {
 val default_resources : (Op.fu_class * int) list
 
 (** Plain cost-driven synthesis; the baseline all reports are measured
-    against. *)
+    against.  Every synthesis entry point raises
+    {!Hft_robust.Validation.Invalid} when [width < 1]. *)
 val synthesize_conventional :
   ?width:int -> ?resources:(Op.fu_class * int) list -> Graph.t -> result
 
@@ -102,7 +103,8 @@ type campaign = {
 }
 
 (** [test_campaign r] — [sample] keeps one fault in N ([seed] fixes the
-    sample), [backtrack_limit]/[max_frames] bound the PODEM search,
+    sample; {!Hft_robust.Validation.Invalid} when [sample < 1]),
+    [backtrack_limit]/[max_frames] bound the PODEM search,
     [n_patterns] is the minimum final-fsim pattern count.
 
     [supervisor] (default {!Hft_robust.Supervisor.default}) runs the

@@ -594,14 +594,17 @@ type offline = {
   off_waterfall : (string * (int * int)) list;  (* outcome_keys order *)
   off_tests : int;
   off_expensive : (string * string * int) list;  (* rep, outcome, cost *)
+  off_phases : (string * float) list;  (* name, summed elapsed ms *)
+  off_shard : Hft_util.Json.t option;  (* the Shard_stats event *)
 }
 
 (* A tape line is one of three shapes: a ledger class row (has "class"
    + "resolution"), a ledger test row (has "test" but no "type"), or a
    journal event (has "type").  A journal tape rebuilds the waterfall
    from Class_resolved events (last write per class wins, mirroring
-   Ledger.resolve) with totals from the Collapse event; a ledger tape
-   has the rows verbatim and also yields the expensive-class table. *)
+   Ledger.resolve) with totals from the Collapse event, plus the
+   per-phase elapsed sums and the scheduler summary; a ledger tape has
+   the rows verbatim and also yields the expensive-class table. *)
 let offline_of_lines lines =
   let docs =
     List.filter_map
@@ -680,6 +683,8 @@ let offline_of_lines lines =
             List.sort
               (fun (_, _, a) (_, _, b) -> compare b a)
               (List.rev !expensive);
+          off_phases = [];
+          off_shard = None;
         }
     end
     else begin
@@ -687,9 +692,27 @@ let offline_of_lines lines =
       let resolved : (int, string * int) Hashtbl.t = Hashtbl.create 64 in
       let tests = ref 0 in
       let saw_event = ref false in
+      (* Σ elapsed ms per phase name, first-seen order, summed in tape
+         order. *)
+      let phases = ref [] in
+      let shard = ref None in
       List.iter
         (fun d ->
           match member_str "type" d with
+          | Some "phase_end" ->
+            saw_event := true;
+            (match (member_str "name" d, member_float "elapsed_ms" d) with
+             | Some name, Some e ->
+               phases :=
+                 if List.mem_assoc name !phases then
+                   List.map
+                     (fun (n, t) -> if n = name then (n, t +. e) else (n, t))
+                     !phases
+                 else !phases @ [ (name, e) ]
+             | _ -> ())
+          | Some "shard_stats" ->
+            saw_event := true;
+            if !shard = None then shard := Some d
           | Some "class_resolved" ->
             saw_event := true;
             (match member_int "class" d with
@@ -732,6 +755,8 @@ let offline_of_lines lines =
             off_waterfall = tally_of assoc;
             off_tests = !tests;
             off_expensive = [];
+            off_phases = !phases;
+            off_shard = !shard;
           }
       end
     end
@@ -745,3 +770,12 @@ let offline_waterfall_json off =
           (fun (k, (c, f)) ->
             (k, Obj [ ("classes", Int c); ("faults", Int f) ]))
           off.off_waterfall)
+
+let shard_brief d =
+  let num k def = Option.value ~default:def (member_float k d) in
+  Printf.sprintf
+    "scheduler: jobs %.0f · tasks %.0f · steals %.0f · spec hit/miss \
+     %.0f/%.0f · utilization %.1f%%"
+    (num "jobs" 1.0) (num "tasks" 0.0) (num "steals" 0.0)
+    (num "spec_hits" 0.0) (num "spec_misses" 0.0)
+    (100.0 *. num "utilization" 0.0)

@@ -123,6 +123,12 @@ type offline = {
   off_tests : int;
   off_expensive : (string * string * int) list;
       (** [(rep, outcome, cost)], descending cost; ledger tapes only. *)
+  off_phases : (string * float) list;
+      (** [(phase, elapsed ms)] summed over the tape's [Phase_end]
+          events, first-seen order; journal tapes only. *)
+  off_shard : Hft_util.Json.t option;
+      (** The first [Shard_stats] event as it stands on the tape;
+          journal tapes only. *)
 }
 
 (** Rebuild the coverage waterfall from an exported tape: either a
@@ -140,3 +146,6 @@ val offline_of_lines : string list -> (offline, string) result
 (** Same shape as [Ledger.waterfall_json], so offline and live reports
     compare field for field. *)
 val offline_waterfall_json : offline -> Hft_util.Json.t
+
+(** One-line scheduler summary of an [off_shard] event. *)
+val shard_brief : Hft_util.Json.t -> string

@@ -850,7 +850,11 @@ let test_offline_rebuild () =
        (Hft_util.Json.to_string
           (Hft_obs.Progress.offline_waterfall_json off));
      check "expensive table present" true
-       (off.Hft_obs.Progress.off_expensive <> []));
+       (off.Hft_obs.Progress.off_expensive <> []);
+     check "ledger tape has no phases" true
+       (off.Hft_obs.Progress.off_phases = []);
+     check "ledger tape has no shard summary" true
+       (off.Hft_obs.Progress.off_shard = None));
   (* Journal tape: the campaign fits the ring, so it is exact too. *)
   check_int "ring did not drop" 0 (Hft_obs.Journal.dropped ());
   (match Hft_obs.Progress.offline_of_lines (jsonl_lines journal) with
@@ -859,7 +863,42 @@ let test_offline_rebuild () =
      check_str "source" "journal" off.Hft_obs.Progress.off_source;
      check_str "journal tape = live waterfall" live_wf
        (Hft_util.Json.to_string
-          (Hft_obs.Progress.offline_waterfall_json off)));
+          (Hft_obs.Progress.offline_waterfall_json off));
+     (* Phase sums and the scheduler summary: the live journal's
+        Phase_end elapsed times summed per name in first-seen order, and
+        its Shard_stats event verbatim. *)
+     let entries = Hft_obs.Journal.entries () in
+     let live_phases =
+       List.fold_left
+         (fun acc (e : Hft_obs.Journal.entry) ->
+           match e.Hft_obs.Journal.e_event with
+           | Hft_obs.Journal.Phase_end { name; elapsed } ->
+             let ms = 1e3 *. elapsed in
+             if List.mem_assoc name acc then
+               List.map
+                 (fun (n, t) -> if n = name then (n, t +. ms) else (n, t))
+                 acc
+             else acc @ [ (name, ms) ]
+           | _ -> acc)
+         [] entries
+     in
+     check "phases on tape" true (live_phases <> []);
+     Alcotest.(check (list (pair string (float 0.0))))
+       "journal tape phases = live phase_end sums" live_phases
+       off.Hft_obs.Progress.off_phases;
+     let live_shard =
+       List.find_map
+         (fun (e : Hft_obs.Journal.entry) ->
+           match e.Hft_obs.Journal.e_event with
+           | Hft_obs.Journal.Shard_stats _ ->
+             Some (Hft_util.Json.to_string (Hft_obs.Journal.entry_to_json e))
+           | _ -> None)
+         entries
+     in
+     Alcotest.(check (option string))
+       "journal tape shard summary = live Shard_stats event" live_shard
+       (Option.map Hft_util.Json.to_string off.Hft_obs.Progress.off_shard);
+     check "shard summary present" true (live_shard <> None));
   match Hft_obs.Progress.offline_of_lines [ "not json"; "{}" ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage tape should not rebuild"

@@ -180,6 +180,31 @@ let test_validation_diag () =
      | _ -> false
      | exception Validation.Invalid { site = "netlist.add"; _ } -> true)
 
+(* Out-of-range campaign knobs are typed input errors at the Flow
+   entry points, not crashes deep inside sampling or data-path
+   generation. *)
+let raises_invalid ~site f =
+  match f () with
+  | _ -> false
+  | exception Validation.Invalid d -> d.Validation.site = site
+
+let test_validation_sample () =
+  let r = Flow.synthesize_for_partial_scan ~width:4 (Paper_fig1.graph ()) in
+  check "sample 0 rejected" true
+    (raises_invalid ~site:"flow.test_campaign" (fun () ->
+         Flow.test_campaign ~sample:0 r));
+  check "negative sample rejected" true
+    (raises_invalid ~site:"flow.test_campaign" (fun () ->
+         Flow.test_campaign ~sample:(-3) r))
+
+let test_validation_width () =
+  List.iter
+    (fun (name, kind) ->
+      check (name ^ " width 0 rejected") true
+        (raises_invalid ~site:"flow.synthesize" (fun () ->
+             Flow.synthesize ~width:0 kind (Paper_fig1.graph ()))))
+    Flow.flow_kinds
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoints                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -438,7 +463,9 @@ let () =
           Alcotest.test_case "ladder budgets" `Quick test_ladder_budgets;
         ] );
       ( "validation",
-        [ Alcotest.test_case "diagnostics" `Quick test_validation_diag ] );
+        [ Alcotest.test_case "diagnostics" `Quick test_validation_diag;
+          Alcotest.test_case "sample < 1" `Quick test_validation_sample;
+          Alcotest.test_case "width < 1" `Quick test_validation_width ] );
       ( "checkpoint",
         [
           Alcotest.test_case "roundtrip" `Quick test_checkpoint_roundtrip;
